@@ -190,7 +190,7 @@ class DatacenterState:
         for i, rack in enumerate(self.racks):
             if rack.id != i:
                 raise StructuralError("rack ids must be dense 0-based indices in order")
-        bad = validate_placement(self.current, self, _skip_state_check=True)
+        bad = validate_placement(self.current, self)
         if bad:
             raise PlacementError(f"current placement invalid: {bad[0]}")
 
@@ -241,14 +241,12 @@ class DatacenterState:
         return DatacenterState(self.racks, pms, self.vms, placement, self.slot_index + 1)
 
 
-def validate_placement(p: Placement, dc: DatacenterState, *, _skip_state_check: bool = False) -> list[Violation]:
+def validate_placement(p: Placement, dc: DatacenterState) -> list[Violation]:
     """Check single-host rows and per-PM capacity; returns all violations found.
 
     Dimension mismatches raise StructuralError instead of being reported,
     since a mis-shaped matrix has no per-row reading.
     """
-    if not _skip_state_check:
-        pass  # dc is assumed structurally valid (checked at construction)
     if p.assign.ndim != 2 or p.assign.shape != (len(dc.vms), len(dc.pms)):
         raise StructuralError(
             f"placement shape {p.assign.shape} does not match ({len(dc.vms)}, {len(dc.pms)})"

@@ -330,18 +330,14 @@ def _num(v: float) -> str:
     return repr(float(v))
 
 
-def _terms(coeffs: dict[str, float], order: list[str]) -> str:
-    parts: list[str] = []
-    for name in order:
-        if name not in coeffs:
-            continue
-        c = coeffs[name]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        parts.append(f"{sign} {_num(abs(c))} {name}")
+def _terms(coeffs: dict[str, float], index: dict[str, int], first: str) -> str:
+    """A row's nonzero terms in model variable order; `index` maps name to position."""
+    parts = [
+        f"{'-' if c < 0 else '+'} {_num(abs(c))} {name}"
+        for _, name, c in sorted((index[name], name, c) for name, c in coeffs.items() if c != 0)
+    ]
     if not parts:
-        return "0 " + order[0]
+        return "0 " + first
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else text
 
@@ -349,10 +345,12 @@ def _terms(coeffs: dict[str, float], order: list[str]) -> str:
 def export_lp(model: MilpModel) -> str:
     """Serialize to CPLEX LP format with a fixed variable and constraint order."""
     order = model.var_names
-    lines = ["\\ server consolidation model", "Minimize", f" obj: {_terms(model.objective, order)}"]
+    index = {name: i for i, name in enumerate(order)}
+    lines = ["\\ server consolidation model", "Minimize",
+             f" obj: {_terms(model.objective, index, order[0])}"]
     lines.append("Subject To")
     for con in model.constraints:
-        lines.append(f" {con.name}: {_terms(con.coeffs, order)} {con.sense} {_num(con.rhs)}")
+        lines.append(f" {con.name}: {_terms(con.coeffs, index, order[0])} {con.sense} {_num(con.rhs)}")
     lines.append("Bounds")
     for name in model.continuous_names:
         lines.append(f" 0 <= {name}")

@@ -36,41 +36,42 @@ class SolveResult:
 
 
 class _FastEval:
-    """Vectorized objective evaluation for a fixed instance.
+    """Per-solve cost table of a fixed instance.
 
-    Matches `costs.objective` up to float summation order; the authoritative
-    value reported in a SolveResult is always recomputed through `costs`.
+    The objective is linear in the assignment, PM, rack and transition
+    variables, so for a complete assignment `hosts`
+
+        objective = K + sum_v A[v][hosts[v]] + sum_{open p} B[p] + sum_{open r} R[r]
+
+    where `A` is the load-proportional and migration energy of a VM on a PM,
+    `B` the cost of keeping a PM on (idle energy, minus the shutdown cost it
+    avoids and the rest credit it forgoes), `R` the energy of an active rack,
+    and `K` the objective of a fully dark fleet.  Matches `costs.objective`
+    up to float summation order; the authoritative value reported in a
+    SolveResult is always recomputed through `costs`.  The tables are Python
+    lists because the search loops index them one scalar at a time.
     """
 
     def __init__(self, dc: DatacenterState, weights: C.CostWeights,
                  params: C.ReliabilityParams, mig_model: C.MigrationCostModel):
-        self.dc = dc
-        self.weights = weights
         self.n_pms = dc.n_pms
         self.cpu = dc.demands("cpu")
         self.ram = dc.demands("ram")
         self.cpu_cap = dc.capacities("cpu")
         self.ram_cap = dc.capacities("ram")
-        self.idle_wh = np.array(
-            [weights.tau * p.k_idle * p.p_max for p in dc.pms]
-        )
-        self.slope_wh = np.array(
-            [weights.tau * (1 - p.k_idle) * p.p_max / p.cpu_capacity for p in dc.pms]
-        )
-        self.rack_wh = np.array(
-            [weights.tau * (r.tor_power + r.cooling_power) for r in dc.racks]
-        )
-        self.rack_of = dc.rack_of()
+        self.rack_of = dc.rack_of().tolist()
         self.online_prev = dc.online_now()
         self.prev_hosts = dc.current.hosts()
-        mem = np.array([v.mem_gb for v in dc.vms])
-        self.mig_wh = (
-            mig_model.kappa
-            * mem[:, None]
-            * mig_model.distance[self.prev_hosts, :].astype(float)
+        self.vm_order = sorted(range(dc.n_vms), key=lambda v: (-self.cpu[v], v))
+        idle_wh = np.array([weights.tau * p.k_idle * p.p_max for p in dc.pms])
+        slope_wh = np.array(
+            [weights.tau * (1 - p.k_idle) * p.p_max / p.cpu_capacity for p in dc.pms]
         )
+        rack_wh = np.array([weights.tau * (r.tor_power + r.cooling_power) for r in dc.racks])
+        mem = np.array([v.mem_gb for v in dc.vms])
+        mig_wh = mig_model.kappa * mem[:, None] * mig_model.distance[self.prev_hosts, :].astype(float)
         thetas_now = all_utilizations(dc.current, dc)
-        self.relcost = np.array(
+        relcost = np.array(
             [
                 weights.omega * C.pm_shutdown_cost(pm, float(thetas_now[pm.id]), params)
                 if self.online_prev[pm.id]
@@ -78,14 +79,24 @@ class _FastEval:
                 for pm in dc.pms
             ]
         )
-        self.c_ene_ub = C.energy_upper_bound(dc, weights, mig_model)
-        self.c_rel_ub, self.g_rel_ub, self.floor = C.reliability_bounds(dc, weights, params)
-        self.ene_scale = (
-            weights.alpha * weights.rho / 1000.0 / self.c_ene_ub if self.c_ene_ub > 0 else 0.0
-        )
-        self.rel_scale = weights.beta / self.c_rel_ub if self.c_rel_ub > 0 else 0.0
-        self.gain_scale = weights.gamma / self.g_rel_ub if self.g_rel_ub > 0 else 0.0
-        self.gain_unit = weights.omega * weights.tau
+        c_ene_ub = C.energy_upper_bound(dc, weights, mig_model)
+        c_rel_ub, g_rel_ub, self.floor = C.reliability_bounds(dc, weights, params)
+        ene_scale = weights.alpha * weights.rho / 1000.0 / c_ene_ub if c_ene_ub > 0 else 0.0
+        rel_scale = weights.beta / c_rel_ub if c_rel_ub > 0 else 0.0
+        gain = (weights.gamma / g_rel_ub if g_rel_ub > 0 else 0.0) * weights.omega * weights.tau
+
+        shut = rel_scale * relcost
+        self.shut = shut.tolist()  # shutdown cost of each PM, 0 if it is dark now
+        self.shut_total = float(shut.sum())
+        self.A = (ene_scale * (slope_wh[None, :] * self.cpu[:, None] + mig_wh)).tolist()
+        self.B = (ene_scale * idle_wh - shut + gain).tolist()
+        self.R = (ene_scale * rack_wh).tolist()
+        self.K = self.shut_total - gain * dc.n_pms
+        # fluid[d]: cheapest load energy of the VMs vm_order[d:], any host
+        fluid = (slope_wh.min() if dc.n_pms else 0.0) * self.cpu[self.vm_order]
+        self.fluid = (ene_scale * np.append(np.cumsum(fluid[::-1])[::-1], 0.0)).tolist()
+        # near[p]: every PM ranked by (hop distance from p, id)
+        self.near = np.argsort(mig_model.distance, axis=1, kind="stable").tolist()
 
     def feasible(self, hosts: np.ndarray) -> bool:
         cpu_used = np.bincount(hosts, weights=self.cpu, minlength=self.n_pms)
@@ -94,18 +105,24 @@ class _FastEval:
         ram_used = np.bincount(hosts, weights=self.ram, minlength=self.n_pms)
         return not (ram_used > self.ram_cap + 1e-9).any()
 
-    def objective(self, hosts: np.ndarray) -> float:
-        counts = np.bincount(hosts, minlength=self.n_pms)
-        opened = counts > 0
-        cpu_used = np.bincount(hosts, weights=self.cpu, minlength=self.n_pms)
-        pm_wh = self.idle_wh[opened].sum() + (self.slope_wh * cpu_used)[opened].sum()
-        open_racks = np.unique(self.rack_of[opened])
-        rack_wh = self.rack_wh[open_racks].sum() if open_racks.size else 0.0
-        mig_wh = self.mig_wh[np.arange(len(hosts)), hosts].sum()
-        ene = self.ene_scale * (pm_wh + rack_wh + mig_wh)
-        f10_cost = self.relcost[self.online_prev & ~opened].sum()
-        n_off = int((~opened).sum())
-        return ene + self.rel_scale * f10_cost - self.gain_scale * self.gain_unit * n_off
+    def objective(self, hosts) -> float:
+        """Sum the table in `vm_order`, the order the search carries its total."""
+        hosts = np.asarray(hosts).tolist()
+        A, B, R, rack_of = self.A, self.B, self.R, self.rack_of
+        pm_open = [False] * self.n_pms
+        rack_open = [False] * len(R)
+        cost = self.K
+        for v in self.vm_order:
+            p = hosts[v]
+            cost += A[v][p]
+            if not pm_open[p]:
+                pm_open[p] = True
+                cost += B[p]
+                r = rack_of[p]
+                if not rack_open[r]:
+                    rack_open[r] = True
+                    cost += R[r]
+        return cost
 
 
 def _result(
@@ -190,46 +207,28 @@ def greedy_incumbent(
     mig_model: C.MigrationCostModel,
 ) -> SolveResult:
     """First-fit-decreasing on CPU demand, trying currently-online PMs first."""
-    ev = _FastEval(dc, weights, params, mig_model)
-    order = sorted(range(dc.n_vms), key=lambda v: (-ev.cpu[v], v))
-    pm_order = sorted(range(dc.n_pms), key=lambda p: (0 if ev.online_prev[p] else 1, p))
-    hosts = _first_fit(dc, ev, order, pm_order)
-    if hosts is None:
-        raise C.InfeasibleError("first-fit-decreasing found no feasible assignment")
+    cpu, ram = dc.demands("cpu"), dc.demands("ram")
+    cpu_rem, ram_rem = dc.capacities("cpu"), dc.capacities("ram")
+    online = dc.online_now()
+    pm_order = sorted(range(dc.n_pms), key=lambda p: (0 if online[p] else 1, p))
+    hosts = np.full(dc.n_vms, -1, dtype=int)
+    for v in sorted(range(dc.n_vms), key=lambda v: (-cpu[v], v)):
+        for p in pm_order:
+            if cpu[v] <= cpu_rem[p] + 1e-9 and ram[v] <= ram_rem[p] + 1e-9:
+                hosts[v] = p
+                cpu_rem[p] -= cpu[v]
+                ram_rem[p] -= ram[v]
+                break
+        else:
+            raise C.InfeasibleError("first-fit-decreasing found no feasible assignment")
     return _result(hosts, dc, weights, params, mig_model, 0, "heuristic", 0.0)
 
 
-def _first_fit(dc, ev, vm_order, pm_order, prefer_current=False) -> np.ndarray | None:
-    cpu_rem = ev.cpu_cap.copy()
-    ram_rem = ev.ram_cap.copy()
-    hosts = np.full(dc.n_vms, -1, dtype=int)
-    allowed = set(pm_order)
-    for v in vm_order:
-        placed = False
-        if prefer_current:
-            p = int(ev.prev_hosts[v])
-            if p in allowed and ev.cpu[v] <= cpu_rem[p] + 1e-9 and ev.ram[v] <= ram_rem[p] + 1e-9:
-                hosts[v] = p
-                cpu_rem[p] -= ev.cpu[v]
-                ram_rem[p] -= ev.ram[v]
-                placed = True
-        if not placed:
-            for p in pm_order:
-                if ev.cpu[v] <= cpu_rem[p] + 1e-9 and ev.ram[v] <= ram_rem[p] + 1e-9:
-                    hosts[v] = p
-                    cpu_rem[p] -= ev.cpu[v]
-                    ram_rem[p] -= ev.ram[v]
-                    placed = True
-                    break
-        if not placed:
-            return None
-    return hosts
-
-
-def _candidate_placements(dc: DatacenterState, ev: _FastEval, mig_model: C.MigrationCostModel) -> list[np.ndarray]:
+def _candidate_placements(dc: DatacenterState, ev: _FastEval) -> list[np.ndarray]:
     """Deterministic family of good starting placements."""
     cands = [ev.prev_hosts.copy()]  # status quo is always feasible
-    vm_order = sorted(range(dc.n_vms), key=lambda v: (-ev.cpu[v], v))
+    cpu, ram = ev.cpu.tolist(), ev.ram.tolist()
+    prev_hosts = ev.prev_hosts.tolist()
     util_now = np.bincount(ev.prev_hosts, weights=ev.cpu, minlength=dc.n_pms) / ev.cpu_cap
     online_ids = [p for p in range(dc.n_pms) if ev.online_prev[p]]
     offline_ids = [p for p in range(dc.n_pms) if not ev.online_prev[p]]
@@ -244,73 +243,78 @@ def _candidate_placements(dc: DatacenterState, ev: _FastEval, mig_model: C.Migra
     lo = max(ev.floor, 1) if dc.n_vms else 0
     for m in range(lo, dc.n_pms + 1):
         for ranked in (ranked_by_pm, ranked_by_rack):
-            targets = ranked[:m]
-            order_for = {
-                v: sorted(
-                    targets,
-                    key=lambda p: (int(mig_model.distance[ev.prev_hosts[v], p]), p),
-                )
-                for v in range(dc.n_vms)
-            }
-            cpu_rem = ev.cpu_cap.copy()
-            ram_rem = ev.ram_cap.copy()
-            hosts = np.full(dc.n_vms, -1, dtype=int)
-            ok = True
-            for v in vm_order:
-                for p in order_for[v]:
-                    if ev.cpu[v] <= cpu_rem[p] + 1e-9 and ev.ram[v] <= ram_rem[p] + 1e-9:
+            target = [False] * dc.n_pms
+            for p in ranked[:m]:
+                target[p] = True
+            cpu_rem = ev.cpu_cap.tolist()
+            ram_rem = ev.ram_cap.tolist()
+            hosts = [-1] * dc.n_vms
+            for v in ev.vm_order:
+                c, r = cpu[v], ram[v]
+                # targets nearest the current host first
+                for p in ev.near[prev_hosts[v]]:
+                    if target[p] and c <= cpu_rem[p] + 1e-9 and r <= ram_rem[p] + 1e-9:
                         hosts[v] = p
-                        cpu_rem[p] -= ev.cpu[v]
-                        ram_rem[p] -= ev.ram[v]
+                        cpu_rem[p] -= c
+                        ram_rem[p] -= r
                         break
                 else:
-                    ok = False
                     break
-            if ok:
-                cands.append(hosts)
+            else:
+                cands.append(np.array(hosts, dtype=int))
     return cands
 
 
-def _local_search(hosts: np.ndarray, ev: _FastEval, mig_model: C.MigrationCostModel) -> np.ndarray:
-    """Greedy descent over single-PM shutdown moves."""
-    hosts = hosts.copy()
+def _local_search(hosts: np.ndarray, ev: _FastEval) -> np.ndarray:
+    """Greedy descent over single-PM shutdown moves, each priced by its delta."""
+    cpu, ram = ev.cpu.tolist(), ev.ram.tolist()
+    A, B, R, rack_of = ev.A, ev.B, ev.R, ev.rack_of
     best = ev.objective(hosts)
+    hosts = np.asarray(hosts).tolist()
     for _ in range(ev.n_pms):
         best_move = None
-        counts = np.bincount(hosts, minlength=ev.n_pms)
-        for victim in np.nonzero(counts > 0)[0]:
-            trial = hosts.copy()
-            cpu_rem = ev.cpu_cap - np.bincount(hosts, weights=ev.cpu, minlength=ev.n_pms)
-            ram_rem = ev.ram_cap - np.bincount(hosts, weights=ev.ram, minlength=ev.n_pms)
-            vms = sorted(np.nonzero(hosts == victim)[0], key=lambda v: (-ev.cpu[v], v))
+        counts = np.bincount(hosts, minlength=ev.n_pms).tolist()
+        cpu_left = (ev.cpu_cap - np.bincount(hosts, weights=ev.cpu, minlength=ev.n_pms)).tolist()
+        ram_left = (ev.ram_cap - np.bincount(hosts, weights=ev.ram, minlength=ev.n_pms)).tolist()
+        rack_open = [0] * len(R)
+        members = [[] for _ in range(ev.n_pms)]
+        for p, n in enumerate(counts):
+            if n:
+                rack_open[rack_of[p]] += 1
+        for v in ev.vm_order:  # each PM's VMs by decreasing CPU demand
+            members[hosts[v]].append(v)
+        for victim, vms in enumerate(members):
+            if not vms:
+                continue
+            cpu_rem, ram_rem = cpu_left[:], ram_left[:]
+            # closing the victim drops its open cost, and its rack's if it is
+            # the rack's last active PM
+            delta = -B[victim] - (R[rack_of[victim]] if rack_open[rack_of[victim]] == 1 else 0.0)
             # evictees may only land on PMs that stay active; opening a new PM
             # is never part of a shutdown move
-            choices = sorted(
-                (p for p in range(ev.n_pms) if p != victim and counts[p] > 0),
-                key=lambda p: (int(mig_model.distance[victim, p]), p),
-            )
-            ok = True
+            choices = [p for p in ev.near[victim] if counts[p] and p != victim]
+            moves = []
             for v in vms:
-                placed = False
+                c, r = cpu[v], ram[v]
                 for p in choices:
-                    if ev.cpu[v] <= cpu_rem[p] + 1e-9 and ev.ram[v] <= ram_rem[p] + 1e-9:
-                        trial[v] = p
-                        cpu_rem[p] -= ev.cpu[v]
-                        ram_rem[p] -= ev.ram[v]
-                        placed = True
+                    if c <= cpu_rem[p] + 1e-9 and r <= ram_rem[p] + 1e-9:
+                        moves.append((v, p))
+                        cpu_rem[p] -= c
+                        ram_rem[p] -= r
+                        delta += A[v][p] - A[v][victim]
                         break
-                if not placed:
-                    ok = False
+                else:
                     break
-            if not ok:
-                continue
-            obj = ev.objective(trial)
-            if obj < best - TIE_EPS and (best_move is None or obj < best_move[0] - TIE_EPS):
-                best_move = (obj, trial)
+            else:
+                obj = best + delta
+                if obj < best - TIE_EPS and (best_move is None or obj < best_move[0] - TIE_EPS):
+                    best_move = (obj, moves)
         if best_move is None:
             break
-        best, hosts = best_move
-    return hosts
+        best, moves = best_move
+        for v, p in moves:
+            hosts[v] = p
+    return np.array(hosts, dtype=int)
 
 
 class _Budget(Exception):
@@ -318,18 +322,28 @@ class _Budget(Exception):
 
 
 class _BranchAndBound:
-    def __init__(self, dc, ev: _FastEval, mig_model, node_budget: int):
-        self.dc = dc
+    """Depth-first search over hosts for the VMs in `vm_order`.
+
+    Each node carries the objective `cost` of its partial assignment, read
+    from the cost table, and the shutdown cost `stake` of the PMs not yet
+    opened, so a leaf and a bound cost O(1).
+    """
+
+    def __init__(self, dc, ev: _FastEval, node_budget: int):
         self.ev = ev
-        self.mig = mig_model
         self.node_budget = node_budget
         self.nodes = 0
-        self.vm_order = sorted(range(dc.n_vms), key=lambda v: (-ev.cpu[v], v))
-        # cheapest possible load-proportional energy for a yet-unplaced VM
-        self.fluid_wh = ev.slope_wh.min() * ev.cpu if dc.n_pms else ev.cpu * 0.0
         self.best = float("inf")
         self.best_hosts: np.ndarray | None = None
         self.complete = True
+        self.n_vms = dc.n_vms
+        self.cpu, self.ram = ev.cpu.tolist(), ev.ram.tolist()
+        self.hosts = [0] * dc.n_vms
+        self.counts = [0] * dc.n_pms
+        self.rack_open = [0] * dc.n_racks
+        self.cpu_rem = ev.cpu_cap.tolist()
+        self.ram_rem = ev.ram_cap.tolist()
+        self._orders: dict[tuple, list[int]] = {}
 
     def seed(self, hosts: np.ndarray, obj: float):
         if obj < self.best - TIE_EPS or (
@@ -339,66 +353,71 @@ class _BranchAndBound:
             self.best = min(obj, self.best)
             self.best_hosts = hosts.copy()
 
-    def node_bound(self, counts, cpu_used, mig_acc, depth) -> float:
-        """Admissible lower bound for all completions of a partial assignment."""
-        ev = self.ev
-        opened = counts > 0
-        pm_wh = ev.idle_wh[opened].sum() + (ev.slope_wh * cpu_used)[opened].sum()
-        open_racks = np.unique(ev.rack_of[opened])
-        rack_wh = ev.rack_wh[open_racks].sum() if open_racks.size else 0.0
-        fluid = sum(self.fluid_wh[v] for v in self.vm_order[depth:])
-        ene_lb = ev.ene_scale * (pm_wh + rack_wh + mig_acc + fluid)
-        n_open = int(opened.sum())
-        max_off = self.dc.n_pms - n_open
-        gain_ub = ev.gain_scale * ev.gain_unit * max_off
-        return ene_lb - gain_ub
+    def node_bound(self, cost: float, stake: float, depth: int) -> float:
+        """Admissible lower bound for all completions of a partial assignment.
+
+        Drops the shutdown cost still at stake (those PMs may yet open) and
+        adds the cheapest load energy of the unplaced VMs.
+        """
+        return cost - stake + self.ev.fluid[depth]
+
+    def _branch_order(self) -> list[int]:
+        """Online PMs first, then PMs in racks with more open PMs, then by id."""
+        key = tuple(self.rack_open)
+        order = self._orders.get(key)
+        if order is None:
+            ev, rack_open = self.ev, self.rack_open
+            order = sorted(
+                range(len(self.counts)),
+                key=lambda p: (0 if ev.online_prev[p] else 1, -rack_open[ev.rack_of[p]], p),
+            )
+            self._orders[key] = order
+        return order
 
     def run(self):
-        hosts = np.zeros(self.dc.n_vms, dtype=int)
-        counts = np.zeros(self.dc.n_pms, dtype=int)
-        cpu_used = np.zeros(self.dc.n_pms)
-        cpu_rem = self.ev.cpu_cap.copy()
-        ram_rem = self.ev.ram_cap.copy()
         try:
-            self._dfs(0, hosts, counts, cpu_used, cpu_rem, ram_rem, 0.0)
+            self._dfs(0, self.ev.K, self.ev.shut_total, self._branch_order())
         except _Budget:
             self.complete = False
 
-    def _dfs(self, depth, hosts, counts, cpu_used, cpu_rem, ram_rem, mig_acc):
+    def _dfs(self, depth, cost, stake, order):
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise _Budget
+        if depth == self.n_vms:
+            if cost <= self.best + TIE_EPS:
+                self.seed(np.array(self.hosts, dtype=int), cost)
+            return
+        if self.node_bound(cost, stake, depth) > self.best + TIE_EPS:
+            return
         ev = self.ev
-        if depth == len(self.vm_order):
-            obj = ev.objective(hosts)
-            self.seed(hosts, obj)
-            return
-        if self.node_bound(counts, cpu_used, mig_acc, depth) > self.best + TIE_EPS:
-            return
-        v = self.vm_order[depth]
-        rack_open = np.bincount(ev.rack_of[counts > 0], minlength=self.dc.n_racks)
-        order = sorted(
-            range(self.dc.n_pms),
-            key=lambda p: (
-                0 if ev.online_prev[p] else 1,
-                -int(rack_open[ev.rack_of[p]]),
-                p,
-            ),
-        )
+        hosts, counts, rack_open = self.hosts, self.counts, self.rack_open
+        cpu_rem, ram_rem = self.cpu_rem, self.ram_rem
+        v = ev.vm_order[depth]
+        c, r, a = self.cpu[v], self.ram[v], ev.A[v]
         for p in order:
-            if ev.cpu[v] > cpu_rem[p] + 1e-9 or ev.ram[v] > ram_rem[p] + 1e-9:
+            if c > cpu_rem[p] + 1e-9 or r > ram_rem[p] + 1e-9:
                 continue
             hosts[v] = p
-            counts[p] += 1
-            cpu_used[p] += ev.cpu[v]
-            cpu_rem[p] -= ev.cpu[v]
-            ram_rem[p] -= ev.ram[v]
-            self._dfs(depth + 1, hosts, counts, cpu_used, cpu_rem, ram_rem,
-                      mig_acc + ev.mig_wh[v, p])
-            counts[p] -= 1
-            cpu_used[p] -= ev.cpu[v]
-            cpu_rem[p] += ev.cpu[v]
-            ram_rem[p] += ev.ram[v]
+            cpu_rem[p] -= c
+            ram_rem[p] -= r
+            if counts[p]:
+                counts[p] += 1
+                self._dfs(depth + 1, cost + a[p], stake, order)
+                counts[p] -= 1
+            else:
+                # opening p changes the branch order below it
+                counts[p] = 1
+                k = ev.rack_of[p]
+                rack_open[k] += 1
+                opened = cost + a[p] + ev.B[p]
+                if rack_open[k] == 1:
+                    opened += ev.R[k]
+                self._dfs(depth + 1, opened, stake - ev.shut[p], self._branch_order())
+                rack_open[k] -= 1
+                counts[p] = 0
+            cpu_rem[p] += c
+            ram_rem[p] += r
 
 
 def solve_exact(
@@ -418,10 +437,10 @@ def solve_exact(
         raise ValueError("time_cap must be positive")
     t0 = time.perf_counter()
     ev = _FastEval(dc, weights, params, mig_model)
-    bnb = _BranchAndBound(dc, ev, mig_model, max(1, int(time_cap * NODES_PER_SECOND)))
-    seeds = _candidate_placements(dc, ev, mig_model)
+    bnb = _BranchAndBound(dc, ev, max(1, int(time_cap * NODES_PER_SECOND)))
+    seeds = _candidate_placements(dc, ev)
     for hosts in seeds:
-        improved = _local_search(hosts, ev, mig_model)
+        improved = _local_search(hosts, ev)
         for h in (hosts, improved):
             if ev.feasible(h):
                 bnb.seed(h, ev.objective(h))
