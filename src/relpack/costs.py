@@ -6,19 +6,17 @@ internally in watt-hours; the electricity price applies after conversion to kWh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import (
     DatacenterState,
     Placement,
-    PlacementError,
     PmSpec,
     TransitionFlags,
     all_utilizations,
     derive_transition_flags,
-    validate_placement,
 )
 
 
@@ -161,11 +159,9 @@ def energy_components_wh(
     dc: DatacenterState,
     weights: CostWeights,
     model: MigrationCostModel,
-    flags: TransitionFlags | None = None,
+    flags: TransitionFlags,
 ) -> tuple[float, float, float]:
     """(pm, rack, migration) slot energies in Wh."""
-    if flags is None:
-        flags = derive_transition_flags(s_prev, s_next, dc)
     thetas = all_utilizations(s_next, dc)
     pm_wh = sum(
         pm_energy(pm, int(flags.f00[pm.id]), int(flags.f10[pm.id]), float(thetas[pm.id]), weights.tau)
@@ -174,18 +170,6 @@ def energy_components_wh(
     rack_wh = rack_energy(flags, dc.racks, weights.tau)
     mig_wh = migration_energy(s_prev, s_next, model, dc.vms)
     return pm_wh, rack_wh, mig_wh
-
-
-def total_energy_cost(
-    s_prev: Placement,
-    s_next: Placement,
-    dc: DatacenterState,
-    weights: CostWeights,
-    model: MigrationCostModel,
-) -> float:
-    """Electricity bill for the slot, dollars."""
-    pm_wh, rack_wh, mig_wh = energy_components_wh(s_prev, s_next, dc, weights, model)
-    return weights.rho * (pm_wh + rack_wh + mig_wh) / 1000.0
 
 
 # ---------------------------------------------------------------------------
@@ -359,4 +343,62 @@ def objective(
         rack_energy_wh=rack_wh,
         mig_energy_wh=mig_wh,
         objective=value,
+    )
+
+
+# ---------------------------------------------------------------------------
+# per-instance coefficient table
+
+
+@dataclass(frozen=True)
+class CostTable:
+    """The objective's coefficients for one instance, unscaled: the objective
+    is ene_scale x (PM, rack and migration Wh) + rel_scale x shutdown dollars
+    - gain_scale x rest x dark PMs, and `gain` is the objective credit of one
+    dark PM.  The MILP and the branch-and-bound are both written from this
+    table; `objective` is the independent scalar reference.
+    """
+
+    idle_wh: np.ndarray    # [p] slot energy of an active PM at zero load
+    slope_wh: np.ndarray   # [p] slot energy per unit of hosted CPU demand
+    rack_wh: np.ndarray    # [r] slot energy of an active rack
+    mig_wh: np.ndarray     # [v, p] energy of moving VM v from its current host to p
+    shut: np.ndarray       # [p] dollars of lifetime lost by powering off; 0 if dark now
+    rest: float            # dollars of lifetime conserved by one dark PM
+    ene_scale: float       # objective weight of one Wh
+    rel_scale: float       # objective weight of one shutdown dollar
+    gain_scale: float      # objective weight of one conserved dollar
+    gain: float            # gain_scale * omega * tau, left to right (not gain_scale * rest)
+    floor: int             # packing floor
+
+
+def cost_table(
+    dc: DatacenterState,
+    weights: CostWeights,
+    params: ReliabilityParams,
+    model: MigrationCostModel,
+) -> CostTable:
+    """The coefficient table for deciding `dc`'s next-slot placement."""
+    tau = weights.tau
+    thetas = all_utilizations(dc.current, dc)
+    online = dc.online_now()
+    mem = np.array([v.mem_gb for v in dc.vms])
+    c_ene_ub = energy_upper_bound(dc, weights, model)
+    c_rel_ub, g_rel_ub, floor = reliability_bounds(dc, weights, params)
+    gain_scale = _safe_ratio(weights.gamma, g_rel_ub)
+    return CostTable(
+        idle_wh=np.array([tau * pm.k_idle * pm.p_max for pm in dc.pms]),
+        slope_wh=np.array([tau * (1.0 - pm.k_idle) * pm.p_max / pm.cpu_capacity for pm in dc.pms]),
+        rack_wh=np.array([tau * (r.tor_power + r.cooling_power) for r in dc.racks]),
+        mig_wh=model.kappa * mem[:, None] * model.distance[dc.current.hosts(), :].astype(float),
+        shut=np.array([
+            weights.omega * pm_shutdown_cost(pm, float(thetas[pm.id]), params) if online[pm.id] else 0.0
+            for pm in dc.pms
+        ]),
+        rest=weights.omega * tau,
+        ene_scale=_safe_ratio(weights.alpha * weights.rho / 1000.0, c_ene_ub),
+        rel_scale=_safe_ratio(weights.beta, c_rel_ub),
+        gain_scale=gain_scale,
+        gain=gain_scale * weights.omega * tau,
+        floor=floor,
     )

@@ -1,7 +1,7 @@
 """Datacenter data model: racks, PMs, VMs, placements, transition flags."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -29,7 +29,7 @@ class PmSpec:
     rack_id: int
     cpu_capacity: float
     ram_capacity: float
-    bw_capacity: float
+    bw_capacity: float  # never constrained
     p_max: float
     k_idle: float
     cycle_count: int = 0
@@ -37,8 +37,8 @@ class PmSpec:
     t_max: float = 350.0
 
     def __post_init__(self):
-        if self.cpu_capacity <= 0:
-            raise StructuralError(f"pm {self.id}: cpu_capacity must be > 0")
+        if self.cpu_capacity <= 0 or self.ram_capacity <= 0:
+            raise StructuralError(f"pm {self.id}: cpu_capacity and ram_capacity must be > 0")
         if not 0.0 <= self.k_idle <= 1.0:
             raise StructuralError(f"pm {self.id}: k_idle must be in [0, 1]")
         if self.cycle_count < 0:
@@ -79,7 +79,7 @@ class RackSpec:
             raise StructuralError(f"rack {self.id}: needs at least one PM")
 
 
-# resource types that participate in packing; bandwidth is tracked but unconstrained
+# resource types that participate in packing
 PACKED_RESOURCES = ("cpu", "ram")
 
 
@@ -211,8 +211,6 @@ class DatacenterState:
             return np.array([p.cpu_capacity for p in self.pms], dtype=float)
         if resource == "ram":
             return np.array([p.ram_capacity for p in self.pms], dtype=float)
-        if resource == "bw":
-            return np.array([p.bw_capacity for p in self.pms], dtype=float)
         raise KeyError(resource)
 
     def demands(self, resource: str) -> np.ndarray:
@@ -282,12 +280,6 @@ def derive_transition_flags(s_prev: Placement, s_next: Placement, dc: Datacenter
     for rack in dc.racks:
         y[rack.id] = 1 if any(x[p] for p in rack.pm_ids) else 0
     return TransitionFlags(f00=f00, f10=f10, x=x, y=y)
-
-
-def pm_utilization(p: Placement, pm_id: int, dc: DatacenterState) -> float:
-    """CPU demand hosted on the PM as a fraction of its CPU capacity."""
-    hosted = float(dc.demands("cpu") @ p.assign[:, pm_id])
-    return hosted / dc.pms[pm_id].cpu_capacity
 
 
 def all_utilizations(p: Placement, dc: DatacenterState) -> np.ndarray:

@@ -9,13 +9,12 @@ same objective value.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import costs as C
-from .domain import DatacenterState, Placement, derive_transition_flags, all_utilizations
+from .domain import PACKED_RESOURCES, DatacenterState, Placement, derive_transition_flags
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,6 @@ class ModelStats:
     n_binary: int
     n_continuous: int
     n_constraints: int
-    closed_form: str
 
 
 @dataclass
@@ -71,8 +69,7 @@ def build_model(
         if n_v and dc.demands(resource).max() > dc.capacities(resource).max() + 1e-9:
             raise C.InfeasibleError(f"some VM's {resource} demand fits on no PM")
 
-    c_ene_ub = C.energy_upper_bound(dc, weights, mig_model)
-    c_rel_ub, g_rel_ub, _ = C.reliability_bounds(dc, weights, params)
+    table = C.cost_table(dc, weights, params, mig_model)
 
     binaries = (
         [_s(v, p) for v in range(n_v) for p in range(n_p)]
@@ -85,9 +82,7 @@ def build_model(
 
     cons: list[Constraint] = []
     online = dc.online_now()
-    prev_hosts = dc.current.hosts()
-    thetas_now = all_utilizations(dc.current, dc)
-    cpu = dc.demands("cpu")
+    cpu = dc.demands("cpu").tolist()
 
     # transition flags consistent with the current slot's on/off states
     for p in range(n_p):
@@ -113,7 +108,7 @@ def build_model(
         cons.append(Constraint(f"empty_pm_dark_{p}", coeffs, ">=", 1.0))
 
     # capacity per packed resource
-    for resource in C_PACKED:
+    for resource in PACKED_RESOURCES:
         demand = dc.demands(resource)
         cap = dc.capacities(resource)
         for p in range(n_p):
@@ -164,49 +159,31 @@ def build_model(
         cons.append(Constraint(f"y_link_{rack.id}", coeffs, "<=", 0.0))
 
     definitions: dict[str, tuple[dict[str, float], float]] = {}
+    idle_wh, slope_wh, shut = table.idle_wh.tolist(), table.slope_wh.tolist(), table.shut.tolist()
 
     # per-PM slot energy, Wh; linear because dark PMs carry no assignments
-    for pm in dc.pms:
-        p = pm.id
-        idle_wh = weights.tau * pm.k_idle * pm.p_max
-        expr = {f"F00_{p}": -idle_wh, f"F10_{p}": -idle_wh}
-        slope = weights.tau * (1.0 - pm.k_idle) * pm.p_max / pm.cpu_capacity
+    for p in range(n_p):
+        expr = {f"F00_{p}": -idle_wh[p], f"F10_{p}": -idle_wh[p]}
         for v in range(n_v):
-            expr[_s(v, p)] = slope * float(cpu[v])
-        definitions[f"Epm_{p}"] = (expr, idle_wh)
+            expr[_s(v, p)] = slope_wh[p] * cpu[v]
+        definitions[f"Epm_{p}"] = (expr, idle_wh[p])
 
     # rack slot energy, Wh
-    expr = {
-        f"Y_{rack.id}": weights.tau * (rack.tor_power + rack.cooling_power)
-        for rack in dc.racks
-    }
-    definitions["Erack"] = (expr, 0.0)
+    definitions["Erack"] = ({f"Y_{r}": wh for r, wh in enumerate(table.rack_wh.tolist())}, 0.0)
 
     # migration energy, Wh; the current mapping is data, so this is linear in S
     expr = {}
-    for vm in dc.vms:
-        src = int(prev_hosts[vm.id])
-        for p in range(n_p):
-            cell = mig_model.kappa * vm.mem_gb * float(mig_model.distance[src, p])
+    for v, row in enumerate(table.mig_wh.tolist()):
+        for p, cell in enumerate(row):
             if cell:
-                expr[_s(vm.id, p)] = cell
+                expr[_s(v, p)] = cell
     definitions["Emig"] = (expr, 0.0)
 
     # reliability cost: lifetime value destroyed by shutdowns, dollars
-    expr = {}
-    for pm in dc.pms:
-        if online[pm.id]:
-            expr[f"F10_{pm.id}"] = weights.omega * C.pm_shutdown_cost(
-                pm, float(thetas_now[pm.id]), params
-            )
-    definitions["Crel"] = (expr, 0.0)
+    definitions["Crel"] = ({f"F10_{p}": shut[p] for p in range(n_p) if online[p]}, 0.0)
 
     # reliability gain: lifetime value conserved by dark PMs, dollars
-    expr = {}
-    for p in range(n_p):
-        expr[f"F00_{p}"] = weights.omega * weights.tau
-        expr[f"F10_{p}"] = weights.omega * weights.tau
-    definitions["Grel"] = (expr, 0.0)
+    definitions["Grel"] = ({f"{k}_{p}": table.rest for p in range(n_p) for k in ("F00", "F10")}, 0.0)
 
     for name, (expr, const) in definitions.items():
         coeffs = {name: 1.0}
@@ -214,14 +191,13 @@ def build_model(
             coeffs[var] = coeffs.get(var, 0.0) - coef
         cons.append(Constraint(f"def_{name.lower()}", coeffs, "=", const))
 
-    ene_scale = weights.alpha * weights.rho / 1000.0 / c_ene_ub if c_ene_ub > 0 else 0.0
     obj: dict[str, float] = {}
     for p in range(n_p):
-        obj[f"Epm_{p}"] = ene_scale
-    obj["Erack"] = ene_scale
-    obj["Emig"] = ene_scale
-    obj["Crel"] = weights.beta / c_rel_ub if c_rel_ub > 0 else 0.0
-    obj["Grel"] = -weights.gamma / g_rel_ub if g_rel_ub > 0 else 0.0
+        obj[f"Epm_{p}"] = table.ene_scale
+    obj["Erack"] = table.ene_scale
+    obj["Emig"] = table.ene_scale
+    obj["Crel"] = table.rel_scale
+    obj["Grel"] = -table.gain_scale
 
     return MilpModel(
         binary_names=binaries,
@@ -236,26 +212,12 @@ def build_model(
     )
 
 
-C_PACKED = ("cpu", "ram")
-
-STATS_CLOSED_FORM = (
-    "n_binary = V*P + 3P + R; n_continuous = P + 4; "
-    "n_constraints = V*P + V + 7P + 2R + 4"
-)
-
-
 def model_stats(model: MilpModel) -> ModelStats:
-    stats = ModelStats(
+    return ModelStats(
         n_binary=len(model.binary_names),
         n_continuous=len(model.continuous_names),
         n_constraints=len(model.constraints),
-        closed_form=STATS_CLOSED_FORM,
     )
-    v, p, r = model.n_vms, model.n_pms, model.n_racks
-    assert stats.n_binary == v * p + 3 * p + r
-    assert stats.n_continuous == p + 4
-    assert stats.n_constraints == v * p + v + 7 * p + 2 * r + 4
-    return stats
 
 
 def expected_counts(n_vms: int, n_pms: int, n_racks: int) -> tuple[int, int, int]:

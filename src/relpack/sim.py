@@ -3,7 +3,7 @@ placement policy once per slot, and account for the resulting costs and
 disk cycle counts."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -16,15 +16,17 @@ from .domain import (
     RackSpec,
     VmSpec,
     derive_transition_flags,
-    validate_placement,
 )
+
+
+# every machine records this bandwidth (Mbps); no constraint reads it
+PM_BW_CAPACITY = 1000.0
 
 
 @dataclass(frozen=True)
 class PmTemplate:
     cpu_capacity: float = 2000.0   # MIPS
     ram_capacity: float = 10240.0  # MB
-    bw_capacity: float = 1000.0    # Mbps
     p_max: float = 300.0
     k_idle: float = 0.7
     t_idle: float = 318.0
@@ -65,13 +67,28 @@ class Scenario:
     time_cap: float = 300.0
 
     def __post_init__(self):
-        if self.n_racks <= 0 or self.pms_per_rack <= 0 or self.n_vms < 0:
-            raise ValueError("counts must be positive")
+        if self.n_racks <= 0 or self.pms_per_rack <= 0 or self.n_vms < 0 or self.n_slots <= 0:
+            raise ValueError("rack, PM-per-rack and slot counts must be positive, VM count >= 0")
         if self.solver not in ("exact", "greedy"):
             raise ValueError(f"unknown solver kind {self.solver!r}")
         if self.cycle_count_tiers is not None:
             if sum(n for n, _ in self.cycle_count_tiers) != self.n_pms:
                 raise ValueError("cycle_count_tiers counts must sum to the PM count")
+            counters = [f for _, f in self.cycle_count_tiers]
+        elif self.cycle_count_spread < 0:
+            raise ValueError("cycle_count_spread must be >= 0")
+        else:
+            counters = [self.cycle_count_base, self.cycle_count_base + self.cycle_count_spread]
+        # the templates must pass the machine and VM rules at every starting counter
+        for f in counters:
+            PmSpec(0, 0, bw_capacity=PM_BW_CAPACITY, cycle_count=f, **asdict(self.pm))
+        VmSpec(0, **asdict(self.vm))
+        C.cpu_cycle_cost(self.pm.t_idle, self.reliability)  # the coolest PM must beat ambient
+        # a counter rises by at most 1 per slot, and the AFR curve ends at MAX_CYCLE_COUNT
+        top = max(counters) + self.n_slots - 1
+        if top > C.MAX_CYCLE_COUNT - 1:
+            raise ValueError(f"cycle counts reach {top} within {self.n_slots} slots; "
+                             f"the AFR curve covers 0 to {C.MAX_CYCLE_COUNT - 1}")
 
     @property
     def n_pms(self) -> int:
@@ -118,22 +135,10 @@ def build_datacenter(scenario: Scenario, seed: int | None = None) -> DatacenterS
         )
     else:
         counters = np.full(scenario.n_pms, scenario.cycle_count_base)
+    template = asdict(scenario.pm)
     for p in range(scenario.n_pms):
-        t = scenario.pm
-        pms.append(
-            PmSpec(
-                id=p,
-                rack_id=p // scenario.pms_per_rack,
-                cpu_capacity=t.cpu_capacity,
-                ram_capacity=t.ram_capacity,
-                bw_capacity=t.bw_capacity,
-                p_max=t.p_max,
-                k_idle=t.k_idle,
-                cycle_count=int(counters[p]),
-                t_idle=t.t_idle,
-                t_max=t.t_max,
-            )
-        )
+        pms.append(PmSpec(p, p // scenario.pms_per_rack, bw_capacity=PM_BW_CAPACITY,
+                          cycle_count=int(counters[p]), **template))
     vms = [
         VmSpec(v, scenario.vm.cpu_demand, scenario.vm.ram_demand, scenario.vm.mem_gb)
         for v in range(scenario.n_vms)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import costs as C
-from .domain import DatacenterState, Placement, all_utilizations
+from .domain import DatacenterState, Placement
 
 # Deterministic work accounting: a "second" of cap buys this many search nodes.
 NODES_PER_SECOND = 20_000
@@ -46,10 +46,12 @@ class _FastEval:
     where `A` is the load-proportional and migration energy of a VM on a PM,
     `B` the cost of keeping a PM on (idle energy, minus the shutdown cost it
     avoids and the rest credit it forgoes), `R` the energy of an active rack,
-    and `K` the objective of a fully dark fleet.  Matches `costs.objective`
-    up to float summation order; the authoritative value reported in a
-    SolveResult is always recomputed through `costs`.  The tables are Python
-    lists because the search loops index them one scalar at a time.
+    and `K` the objective of a fully dark fleet.  All four are derived from
+    `costs.cost_table`, the coefficients the MILP is written from.  Matches
+    `costs.objective` up to float summation order; the authoritative value
+    reported in a SolveResult is always recomputed through `costs`.  The
+    tables are Python lists because the search loops index them one scalar
+    at a time.
     """
 
     def __init__(self, dc: DatacenterState, weights: C.CostWeights,
@@ -63,38 +65,18 @@ class _FastEval:
         self.online_prev = dc.online_now()
         self.prev_hosts = dc.current.hosts()
         self.vm_order = sorted(range(dc.n_vms), key=lambda v: (-self.cpu[v], v))
-        idle_wh = np.array([weights.tau * p.k_idle * p.p_max for p in dc.pms])
-        slope_wh = np.array(
-            [weights.tau * (1 - p.k_idle) * p.p_max / p.cpu_capacity for p in dc.pms]
-        )
-        rack_wh = np.array([weights.tau * (r.tor_power + r.cooling_power) for r in dc.racks])
-        mem = np.array([v.mem_gb for v in dc.vms])
-        mig_wh = mig_model.kappa * mem[:, None] * mig_model.distance[self.prev_hosts, :].astype(float)
-        thetas_now = all_utilizations(dc.current, dc)
-        relcost = np.array(
-            [
-                weights.omega * C.pm_shutdown_cost(pm, float(thetas_now[pm.id]), params)
-                if self.online_prev[pm.id]
-                else 0.0
-                for pm in dc.pms
-            ]
-        )
-        c_ene_ub = C.energy_upper_bound(dc, weights, mig_model)
-        c_rel_ub, g_rel_ub, self.floor = C.reliability_bounds(dc, weights, params)
-        ene_scale = weights.alpha * weights.rho / 1000.0 / c_ene_ub if c_ene_ub > 0 else 0.0
-        rel_scale = weights.beta / c_rel_ub if c_rel_ub > 0 else 0.0
-        gain = (weights.gamma / g_rel_ub if g_rel_ub > 0 else 0.0) * weights.omega * weights.tau
-
-        shut = rel_scale * relcost
+        t = C.cost_table(dc, weights, params, mig_model)
+        self.floor = t.floor
+        shut = t.rel_scale * t.shut
         self.shut = shut.tolist()  # shutdown cost of each PM, 0 if it is dark now
         self.shut_total = float(shut.sum())
-        self.A = (ene_scale * (slope_wh[None, :] * self.cpu[:, None] + mig_wh)).tolist()
-        self.B = (ene_scale * idle_wh - shut + gain).tolist()
-        self.R = (ene_scale * rack_wh).tolist()
-        self.K = self.shut_total - gain * dc.n_pms
+        self.A = (t.ene_scale * (t.slope_wh[None, :] * self.cpu[:, None] + t.mig_wh)).tolist()
+        self.B = (t.ene_scale * t.idle_wh - shut + t.gain).tolist()
+        self.R = (t.ene_scale * t.rack_wh).tolist()
+        self.K = self.shut_total - t.gain * dc.n_pms
         # fluid[d]: cheapest load energy of the VMs vm_order[d:], any host
-        fluid = (slope_wh.min() if dc.n_pms else 0.0) * self.cpu[self.vm_order]
-        self.fluid = (ene_scale * np.append(np.cumsum(fluid[::-1])[::-1], 0.0)).tolist()
+        fluid = (t.slope_wh.min() if dc.n_pms else 0.0) * self.cpu[self.vm_order]
+        self.fluid = (t.ene_scale * np.append(np.cumsum(fluid[::-1])[::-1], 0.0)).tolist()
         # near[p]: every PM ranked by (hop distance from p, id)
         self.near = np.argsort(mig_model.distance, axis=1, kind="stable").tolist()
 

@@ -61,10 +61,34 @@ class TestSolve:
         reported = float(report_line.split(",")[11])
         assert abs(obj - reported) < 1e-6
 
-    def test_parse_error_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("text, named", [
+        ("racks: [oops\n", "invalid YAML"),
+        ("pm: {cycle_count: -5}\n", "cycle_count"),
+        ("pm: {cycle_count: -5, cycle_count_spread: 10}\n", "cycle_count"),
+        ("pm: {cycle_count: 1600}\n", "cycle counts reach 1600"),
+        ("pm: {cycle_count: 1599}\nn_slots: 2\n", "cycle counts reach 1600"),
+        ("pm: {cycle_count: 1500, cycle_count_spread: 100}\n", "cycle counts reach 1600"),
+        ("pm: {k_idle: 1.5}\n", "k_idle"),
+        ("pm: {t_idle: 360}\n", "t_idle"),
+        ("vms: {cpu: -1}\n", "demands"),
+        ("reliability: {t_amb: 318}\n", "ambient"),
+        ("n_slots: 0\n", "slot count"),
+        ("pm: {ram_capacity: -5}\n", "ram_capacity"),
+        ("pm: {cpu_capacity: 0}\n", "cpu_capacity"),
+        ("wieghts: {alpha: 0.5}\n", "wieghts"),
+        ("pm: {bw_capacity: 1000}\n", "pm.bw_capacity"),
+    ], ids=["bad-yaml", "negative-cycle-count", "negative-cycle-count-with-spread",
+            "cycle-count-past-curve", "cycle-count-past-curve-over-slots",
+            "cycle-count-spread-past-curve",
+            "k-idle-above-one", "t-idle-above-t-max", "negative-vm-cpu", "t-amb-at-t-idle",
+            "zero-slots", "negative-ram-capacity", "zero-cpu-capacity",
+            "unknown-section", "unknown-pm-key"])
+    def test_parse_error_exit_code(self, tmp_path, capsys, text, named):
         bad = tmp_path / "bad.yaml"
-        bad.write_text("racks: [oops\n")
-        assert cli.main(["solve", "--scenario", str(bad)]) == cli.EXIT_PARSE
+        bad.write_text(text)
+        assert cli.main(["solve", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err.splitlines()[0]
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["solve", "--scenario", str(tmp_path / "no.yaml")]) == cli.EXIT_PARSE

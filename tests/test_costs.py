@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relpack import costs as C
-from relpack.domain import Placement, derive_transition_flags
+from relpack.domain import Placement, derive_transition_flags, validate_placement
 
-from conftest import build_state, template_fleet_state
+from conftest import build_state, random_tiny_instance, template_fleet_state
 
 
 @pytest.fixture
@@ -196,8 +196,45 @@ class TestBounds:
             if (counts * 500 > 2000).any():
                 continue
             nxt = Placement.from_hosts(hosts.tolist(), 4)
-            cost = C.total_energy_cost(state.current, nxt, state, default_weights, mig)
+            flags = derive_transition_flags(state.current, nxt, state)
+            wh = C.energy_components_wh(state.current, nxt, state, default_weights, mig, flags)
+            cost = default_weights.rho * sum(wh) / 1000.0
             assert cost <= ub + 1e-12
+
+
+class TestCostTable:
+    def test_terms_match_objective_breakdown(self):
+        """The table that the MILP and the B&B are written from prices each
+        term of a transition as `costs.objective` does."""
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            state, weights, params, mig = random_tiny_instance(rng)
+            nxt = state.current
+            for _ in range(20):
+                trial = Placement.from_hosts(rng.integers(0, state.n_pms, state.n_vms), state.n_pms)
+                if not validate_placement(trial, state):
+                    nxt = trial
+                    break
+            value, bd = C.objective(state.current, nxt, state, weights, params, mig)
+            flags = derive_transition_flags(state.current, nxt, state)
+            t = C.cost_table(state, weights, params, mig)
+            hosts = nxt.hosts()
+            hosted_cpu = state.demands("cpu") @ nxt.assign
+            pm_wh = float(flags.x @ (t.idle_wh + t.slope_wh * hosted_cpu))
+            rack_wh = float(t.rack_wh @ flags.y)
+            mig_wh = float(t.mig_wh[np.arange(state.n_vms), hosts].sum())
+            c_rel = float(t.shut @ flags.f10)
+            g_rel = t.rest * flags.n_off
+            assert pm_wh == pytest.approx(bd.pm_energy_wh, rel=1e-12)
+            assert rack_wh == pytest.approx(bd.rack_energy_wh, rel=1e-12)
+            assert mig_wh == pytest.approx(bd.mig_energy_wh, rel=1e-12, abs=1e-12)
+            assert c_rel == pytest.approx(bd.c_rel, rel=1e-12, abs=1e-12)
+            assert g_rel == pytest.approx(bd.g_rel, rel=1e-12, abs=1e-12)
+            got = (t.ene_scale * (pm_wh + rack_wh + mig_wh) + t.rel_scale * c_rel
+                   - t.gain_scale * g_rel)
+            assert got == pytest.approx(value, rel=1e-9, abs=1e-12)
+            assert t.gain == pytest.approx(t.gain_scale * t.rest, rel=1e-12)
+            assert t.floor == C.packing_floor(state)
 
 
 class TestValidation:

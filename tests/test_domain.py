@@ -12,7 +12,6 @@ from relpack.domain import (
     VmSpec,
     all_utilizations,
     derive_transition_flags,
-    pm_utilization,
     validate_placement,
 )
 
@@ -120,8 +119,8 @@ class TestTransitions:
 class TestUtilization:
     def test_single_pm(self):
         state = template_fleet_state([0, 0, 1])
-        assert pm_utilization(state.current, 0, state) == pytest.approx(0.5)
-        assert pm_utilization(state.current, 1, state) == pytest.approx(0.25)
+        assert all_utilizations(state.current, state)[0] == pytest.approx(0.5)
+        assert all_utilizations(state.current, state)[1] == pytest.approx(0.25)
 
     def test_vector(self):
         state = template_fleet_state([0, 0, 1])
