@@ -33,6 +33,22 @@ ALPHA_GRID = [round(0.1 * i, 1) for i in range(11)]
 SCALING_SIZES = [4, 8, 16, 32]  # PMs; racks = PMs/4, VMs = ceil(1.625 * PMs)
 
 
+def _flag_value(kind, ok, rule: str):
+    """argparse type: a `kind` value for which `ok` holds; else exit 2 naming `rule`."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse reports "invalid float value: ..."
+    return parse
+
+
+_TIME_CAP = _flag_value(float, lambda x: 0 < x < math.inf, "must be a positive number of seconds")
+_SEED = _flag_value(int, lambda n: n >= 0, "must be >= 0")
+_SEED_COUNT = _flag_value(int, lambda n: n >= 1, "must be >= 1")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="relpack",
@@ -44,16 +60,16 @@ def main(argv: list[str] | None = None) -> int:
     p_solve.add_argument("--scenario", required=True, help="scenario YAML path")
     p_solve.add_argument("--out", default="out", help="output directory")
     p_solve.add_argument("--export-lp", action="store_true", help="also write the model in LP format")
-    p_solve.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p_solve.add_argument("--time-cap", type=float, default=None, help="override the solver time cap, seconds")
+    p_solve.add_argument("--seed", type=_SEED, default=None, help="override the scenario seed")
+    p_solve.add_argument("--time-cap", type=_TIME_CAP, default=None, help="override the solver time cap, seconds")
 
     p_exp = sub.add_parser("experiment", help="run a predefined experiment preset")
     p_exp.add_argument("--preset", required=True,
                        choices=["weights-table", "alpha-sweep", "scaling-curves"])
     p_exp.add_argument("--out", default="out", help="output directory")
-    p_exp.add_argument("--seeds", type=int, default=None, help="number of seeds (preset default)")
-    p_exp.add_argument("--seed", type=int, default=0, help="base seed")
-    p_exp.add_argument("--time-cap", type=float, default=5.0, help="per-solve time cap, seconds")
+    p_exp.add_argument("--seeds", type=_SEED_COUNT, default=None, help="number of seeds (preset default)")
+    p_exp.add_argument("--seed", type=_SEED, default=0, help="base seed")
+    p_exp.add_argument("--time-cap", type=_TIME_CAP, default=5.0, help="per-solve time cap, seconds")
 
     args = parser.parse_args(argv)
     try:
@@ -118,29 +134,32 @@ def weights_table_scenario(alpha: float, beta: float, gamma: float,
                         weights=weights, time_cap=time_cap)
 
 
+def _run_seeds(scenario: sim.Scenario, n_seeds: int, base_seed: int,
+               rows: list, means: dict[str, list[float]]) -> None:
+    """Solve per seed; append the report rows and their mean row to `rows`, field means to `means`."""
+    reports = []
+    for s in range(n_seeds):
+        report = sim.run(scenario, seed=base_seed + s)[0]
+        reports.append(report)
+        rows.append(outputs.report_row(report, base_seed + s, scenario.weights))
+    rows.append(outputs.mean_row(reports, scenario.weights))
+    for field, values in means.items():
+        values.append(sum(getattr(r, field) for r in reports) / len(reports))
+
+
 def _weights_table(out: Path, n_seeds: int, base_seed: int, time_cap: float) -> int:
     rows = []
-    means = {"active_pms": [], "active_racks": [], "migrations": []}
+    means = {"active_pms": [], "active_racks": [], "n_migrations": []}
     for alpha, beta, gamma in WEIGHT_SETTINGS:
-        scenario = weights_table_scenario(alpha, beta, gamma, time_cap)
-        weights = scenario.weights
-        reports = []
-        for s in range(n_seeds):
-            report = sim.run(scenario, seed=base_seed + s)[0]
-            reports.append(report)
-            rows.append(outputs.report_row(report, base_seed + s, weights))
-        rows.append(outputs.mean_row(reports, weights))
-        n = len(reports)
-        means["active_pms"].append(sum(r.active_pms for r in reports) / n)
-        means["active_racks"].append(sum(r.active_racks for r in reports) / n)
-        means["migrations"].append(sum(r.n_migrations for r in reports) / n)
+        _run_seeds(weights_table_scenario(alpha, beta, gamma, time_cap),
+                   n_seeds, base_seed, rows, means)
     outputs.write_report_csv(out / "weights_table.csv", rows)
     cats = [f"({a:g},{b:g},{g:g})" for a, b, g in WEIGHT_SETTINGS]
     svg = outputs.svg_bar_plot(
         "Impact of weighting factors", "count (seed average)", cats,
         [("active PMs", means["active_pms"]),
          ("active racks", means["active_racks"]),
-         ("migrations", means["migrations"])],
+         ("migrations", means["n_migrations"])],
     )
     outputs.write_text(out / "weights_table.svg", svg)
     return EXIT_OK
@@ -163,18 +182,8 @@ def _alpha_sweep(out: Path, n_seeds: int, base_seed: int, time_cap: float) -> in
         rows = []
         curve = {"c_ene": [], "c_rel": [], "g_rel": []}
         for alpha in ALPHA_GRID:
-            scenario = alpha_sweep_scenario(n_racks, n_vms, alpha, time_cap)
-            weights = scenario.weights
-            reports = []
-            for s in range(n_seeds):
-                report = sim.run(scenario, seed=base_seed + s)[0]
-                reports.append(report)
-                rows.append(outputs.report_row(report, base_seed + s, weights))
-            rows.append(outputs.mean_row(reports, weights))
-            n = len(reports)
-            curve["c_ene"].append(sum(r.c_ene for r in reports) / n)
-            curve["c_rel"].append(sum(r.c_rel for r in reports) / n)
-            curve["g_rel"].append(sum(r.g_rel for r in reports) / n)
+            _run_seeds(alpha_sweep_scenario(n_racks, n_vms, alpha, time_cap),
+                       n_seeds, base_seed, rows, curve)
         outputs.write_report_csv(out / f"alpha_sweep_{name}.csv", rows)
         svg = outputs.svg_line_plot(
             f"Alpha sweep, {name}", "alpha", "dollars per slot",

@@ -38,7 +38,6 @@ class MilpModel:
     continuous_names: list[str]
     objective: dict[str, float]
     constraints: list[Constraint]
-    big_m: dict[str, float]
     # cont var -> (linear coeffs over binaries, constant); used for decoding
     definitions: dict[str, tuple[dict[str, float], float]]
     n_vms: int
@@ -127,17 +126,16 @@ def build_model(
             Constraint(f"one_host_{v}", {_s(v, p): 1.0 for p in range(n_p)}, "=", 1.0)
         )
 
-    big_m: dict[str, float] = {"pm_activity": float(max(n_v, 1))}
     # PM activity switch: hosting forces X=1 (big-M = |V|, the tightest valid constant)
+    big_m = float(max(n_v, 1))
     for p in range(n_p):
         coeffs = {_s(v, p): 1.0 for v in range(n_v)}
-        coeffs[f"X_{p}"] = -big_m["pm_activity"]
+        coeffs[f"X_{p}"] = -big_m
         cons.append(Constraint(f"pm_activity_{p}", coeffs, "<=", 0.0))
 
     # rack activity switch: any active member PM forces Y=1 (big-M = rack size)
     for rack in dc.racks:
         m = float(len(rack.pm_ids))
-        big_m[f"rack_activity_{rack.id}"] = m
         coeffs = {f"X_{p}": 1.0 for p in rack.pm_ids}
         coeffs[f"Y_{rack.id}"] = -m
         cons.append(Constraint(f"rack_activity_{rack.id}", coeffs, "<=", 0.0))
@@ -204,7 +202,6 @@ def build_model(
         continuous_names=continuous,
         objective=obj,
         constraints=cons,
-        big_m=big_m,
         definitions=definitions,
         n_vms=n_v,
         n_pms=n_p,

@@ -71,6 +71,10 @@ class Scenario:
             raise ValueError("rack, PM-per-rack and slot counts must be positive, VM count >= 0")
         if self.solver not in ("exact", "greedy"):
             raise ValueError(f"unknown solver kind {self.solver!r}")
+        if not 0 < self.time_cap < float("inf"):
+            raise ValueError(f"time_cap must be a positive number of seconds, got {self.time_cap}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.cycle_count_tiers is not None:
             if sum(n for n, _ in self.cycle_count_tiers) != self.n_pms:
                 raise ValueError("cycle_count_tiers counts must sum to the PM count")

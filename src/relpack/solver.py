@@ -80,13 +80,6 @@ class _FastEval:
         # near[p]: every PM ranked by (hop distance from p, id)
         self.near = np.argsort(mig_model.distance, axis=1, kind="stable").tolist()
 
-    def feasible(self, hosts: np.ndarray) -> bool:
-        cpu_used = np.bincount(hosts, weights=self.cpu, minlength=self.n_pms)
-        if (cpu_used > self.cpu_cap + 1e-9).any():
-            return False
-        ram_used = np.bincount(hosts, weights=self.ram, minlength=self.n_pms)
-        return not (ram_used > self.ram_cap + 1e-9).any()
-
     def objective(self, hosts) -> float:
         """Sum the table in `vm_order`, the order the search carries its total."""
         hosts = np.asarray(hosts).tolist()
@@ -207,17 +200,16 @@ def greedy_incumbent(
 
 
 def _candidate_placements(dc: DatacenterState, ev: _FastEval) -> list[np.ndarray]:
-    """Deterministic family of good starting placements."""
-    cands = [ev.prev_hosts.copy()]  # status quo is always feasible
+    """Deterministic family of distinct starting placements, status quo first."""
     cpu, ram = ev.cpu.tolist(), ev.ram.tolist()
     prev_hosts = ev.prev_hosts.tolist()
+    # an insertion-ordered set; every packing fits the capacities, as the status quo does
+    cands = dict.fromkeys([tuple(prev_hosts)])
     util_now = np.bincount(ev.prev_hosts, weights=ev.cpu, minlength=dc.n_pms) / ev.cpu_cap
-    online_ids = [p for p in range(dc.n_pms) if ev.online_prev[p]]
-    offline_ids = [p for p in range(dc.n_pms) if not ev.online_prev[p]]
     # pack onto m machines, keeping the fullest current hosts and cheap moves;
     # the second ranking fills the busiest racks first so whole racks go dark
     rack_util = np.bincount(ev.rack_of, weights=util_now, minlength=dc.n_racks)
-    ranked_by_pm = sorted(online_ids, key=lambda p: (-util_now[p], p)) + offline_ids
+    ranked_by_pm = sorted(range(dc.n_pms), key=lambda p: (not ev.online_prev[p], -util_now[p], p))
     ranked_by_rack = sorted(
         range(dc.n_pms),
         key=lambda p: (-rack_util[ev.rack_of[p]], ev.rack_of[p], -util_now[p], p),
@@ -243,8 +235,8 @@ def _candidate_placements(dc: DatacenterState, ev: _FastEval) -> list[np.ndarray
                 else:
                     break
             else:
-                cands.append(np.array(hosts, dtype=int))
-    return cands
+                cands.setdefault(tuple(hosts))
+    return [np.array(h, dtype=int) for h in cands]
 
 
 def _local_search(hosts: np.ndarray, ev: _FastEval) -> np.ndarray:
@@ -329,8 +321,7 @@ class _BranchAndBound:
 
     def seed(self, hosts: np.ndarray, obj: float):
         if obj < self.best - TIE_EPS or (
-            obj <= self.best + TIE_EPS
-            and (self.best_hosts is None or tuple(hosts) < tuple(self.best_hosts))
+            obj <= self.best + TIE_EPS and tuple(hosts) < tuple(self.best_hosts)
         ):
             self.best = min(obj, self.best)
             self.best_hosts = hosts.copy()
@@ -415,17 +406,15 @@ def solve_exact(
     smallest assignment among ties; past the cap the best incumbent is
     returned and labeled as such.
     """
-    if time_cap <= 0:
-        raise ValueError("time_cap must be positive")
+    if not 0 < time_cap < float("inf"):
+        raise ValueError("time_cap must be positive and finite")
     t0 = time.perf_counter()
     ev = _FastEval(dc, weights, params, mig_model)
     bnb = _BranchAndBound(dc, ev, max(1, int(time_cap * NODES_PER_SECOND)))
-    seeds = _candidate_placements(dc, ev)
-    for hosts in seeds:
-        improved = _local_search(hosts, ev)
-        for h in (hosts, improved):
-            if ev.feasible(h):
-                bnb.seed(h, ev.objective(h))
+    # seed each distinct descent once; a start it moved from is worse by > TIE_EPS, so cannot win
+    descents = dict.fromkeys(tuple(_local_search(h, ev)) for h in _candidate_placements(dc, ev))
+    for hosts in descents:
+        bnb.seed(np.array(hosts, dtype=int), ev.objective(hosts))
     bnb.run()
     if bnb.best_hosts is None:
         raise C.InfeasibleError("no feasible assignment exists")

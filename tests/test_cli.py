@@ -77,18 +77,39 @@ class TestSolve:
         ("pm: {cpu_capacity: 0}\n", "cpu_capacity"),
         ("wieghts: {alpha: 0.5}\n", "wieghts"),
         ("pm: {bw_capacity: 1000}\n", "pm.bw_capacity"),
+        ("solver: {time_cap: 0}\n", "time_cap"),
+        ("seed: -1\n", "seed"),
     ], ids=["bad-yaml", "negative-cycle-count", "negative-cycle-count-with-spread",
             "cycle-count-past-curve", "cycle-count-past-curve-over-slots",
             "cycle-count-spread-past-curve",
             "k-idle-above-one", "t-idle-above-t-max", "negative-vm-cpu", "t-amb-at-t-idle",
             "zero-slots", "negative-ram-capacity", "zero-cpu-capacity",
-            "unknown-section", "unknown-pm-key"])
+            "unknown-section", "unknown-pm-key", "time-cap-zero", "negative-seed"])
     def test_parse_error_exit_code(self, tmp_path, capsys, text, named):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text)
         assert cli.main(["solve", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == cli.EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err.splitlines()[0]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["solve", "--time-cap", "-1"], "--time-cap"),
+        (["solve", "--time-cap", "inf"], "--time-cap"),
+        (["solve", "--seed", "-1"], "--seed"),
+        (["experiment", "--preset", "weights-table", "--time-cap", "0"], "--time-cap"),
+        (["experiment", "--preset", "weights-table", "--seeds", "-1"], "--seeds"),
+        (["experiment", "--preset", "weights-table", "--seeds", "0"], "--seeds"),
+    ], ids=["solve-time-cap-negative", "solve-time-cap-inf", "solve-seed-negative",
+            "experiment-time-cap-zero", "experiment-seeds-negative", "experiment-seeds-zero"])
+    def test_bad_flag_exit_code(self, small_scenario_file, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        if argv[0] == "solve":
+            argv = argv + ["--scenario", str(small_scenario_file)]
+        with pytest.raises(SystemExit) as exc:  # argparse's exit, not a traceback
+            cli.main(argv + ["--out", str(out)])
+        assert exc.value.code == cli.EXIT_PARSE
+        assert f"error: argument {flag}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["solve", "--scenario", str(tmp_path / "no.yaml")]) == cli.EXIT_PARSE

@@ -77,18 +77,24 @@ class TestLinearization:
 
 
 class TestBigM:
+    @staticmethod
+    def _big_m(model, row, var):
+        """The big-M constant: minus the indicator's coefficient in `row`."""
+        return -next(c for c in model.constraints if c.name == row).coeffs[var]
+
     def test_pm_activity_constant_is_tight(self, tiny_state):
         model, *_ = _model_for(tiny_state)
-        assert model.big_m["pm_activity"] == tiny_state.n_vms
+        big_m = self._big_m(model, "pm_activity_1", "X_1")
+        assert big_m == tiny_state.n_vms
         # witness: every VM on PM 1 saturates sum(S) = |V| = M * X
         placement = Placement.from_hosts([1, 1, 1], tiny_state.n_pms)
         values = milp.assignment_for_placement(model, tiny_state, placement)
-        lhs = sum(values[f"S_{v}_1"] for v in range(3)) - model.big_m["pm_activity"] * values["X_1"]
+        lhs = sum(values[f"S_{v}_1"] for v in range(3)) - big_m * values["X_1"]
         assert lhs == pytest.approx(0.0)  # any smaller M would cut this point
 
     def test_rack_activity_constant_is_tight(self, tiny_state):
         model, *_ = _model_for(tiny_state)
-        assert model.big_m["rack_activity_0"] == 2.0
+        assert self._big_m(model, "rack_activity_0", "Y_0") == 2.0
         placement = Placement.from_hosts([0, 1, 0], tiny_state.n_pms)
         values = milp.assignment_for_placement(model, tiny_state, placement)
         lhs = values["X_0"] + values["X_1"] - 2.0 * values["Y_0"]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from relpack import cli, sim
 from relpack import costs as C
 from relpack import solver as S
-from relpack.domain import Placement
+from relpack.domain import Placement, validate_placement
 
 from conftest import build_state, template_fleet_state, random_tiny_instance
 
@@ -82,8 +82,9 @@ class TestBudget:
     def test_bad_cap_rejected(self):
         state = template_fleet_state([0])
         weights, params, mig = _setup(state)
-        with pytest.raises(ValueError):
-            S.solve_exact(state, weights, params, mig, time_cap=0.0)
+        for cap in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="time_cap"):
+                S.solve_exact(state, weights, params, mig, time_cap=cap)
 
 
 class TestEmptyPopulation:
@@ -166,16 +167,37 @@ class TestSearchPins:
         ]
 
 
+class TestCandidates:
+    @staticmethod
+    def _check(state, weights, params, mig):
+        ev = S._FastEval(state, weights, params, mig)
+        cands = [tuple(h) for h in S._candidate_placements(state, ev)]
+        assert cands[0] == tuple(state.current.hosts())
+        assert len(set(cands)) == len(cands)
+
+    def test_status_quo_first_and_distinct(self, rng):
+        for _ in range(20):
+            self._check(*random_tiny_instance(rng))
+        scenario = sim.Scenario(n_racks=16, pms_per_rack=4, n_vms=104)
+        state = sim.build_datacenter(scenario, 0)
+        self._check(state, scenario.weights, scenario.reliability,
+                    sim.migration_model(scenario, state))
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_incumbents_carry_their_objective(seed):
     """Every incumbent the B&B records, seeded or found at a leaf, is valued
-    at `_FastEval.objective` of its placement."""
+    at `_FastEval.objective` of its placement.  Every offered placement is
+    valid, and none is seeded twice before the search starts."""
     state, weights, params, mig = random_tiny_instance(np.random.default_rng(seed))
-    gaps = []
+    gaps, seeded = [], []
     seed_fn = S._BranchAndBound.seed
 
     def recording_seed(bnb, hosts, obj):
+        assert validate_placement(Placement.from_hosts(hosts, state.n_pms), state) == []
+        if bnb.nodes == 0:
+            seeded.append(tuple(hosts))
         seed_fn(bnb, hosts, obj)
         gaps.append(abs(bnb.best - bnb.ev.objective(bnb.best_hosts)))
 
@@ -185,3 +207,4 @@ def test_incumbents_carry_their_objective(seed):
     finally:
         S._BranchAndBound.seed = seed_fn
     assert gaps and max(gaps) <= 1e-9
+    assert seeded and len(set(seeded)) == len(seeded)
