@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,46 +68,45 @@ MAX_CYCLE_COUNT = 1600  # domain of the empirical AFR curve
 
 @dataclass(frozen=True)
 class MigrationCostModel:
-    """Migration energy = kappa x VM memory (GB) x hop distance between hosts."""
+    """Migration energy = kappa x VM memory (GB) x hops between hosts.
 
-    kappa: float           # Wh per GB per hop
-    distance: np.ndarray   # |P| x |P| hop counts in {0, 1, 2, 3}
+    Hops follow the layout tree PM < rack < pod: 0 on the same PM, 1 within a
+    rack, 2 within a pod, 3 across pods.  A PM's pod is its rack's pod.
+    """
 
-    def __post_init__(self):
-        d = np.asarray(self.distance, dtype=np.int8)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise ValueError("distance must be a square matrix")
-        if (np.diag(d) != 0).any():
-            raise ValueError("self-distance must be 0")
-        if not np.array_equal(d, d.T):
-            raise ValueError("distance must be symmetric")
-        if d.min() < 0 or d.max() > 3:
-            raise ValueError("hop distances must lie in {0, 1, 2, 3}")
-        d.setflags(write=False)
-        object.__setattr__(self, "distance", d)
+    kappa: float                  # Wh per GB per hop
+    rack_of: tuple[int, ...]      # [p] rack of each PM
+    pod_of_rack: tuple[int, ...]  # [r] pod of each rack
 
     @classmethod
     def from_layout(cls, dc: DatacenterState, kappa: float = 10.0, n_pods: int = 2) -> "MigrationCostModel":
-        """Hop distances from the rack/pod layout: 0 same PM, 1 same rack,
-        2 same pod, 3 across pods.  Racks are split into `n_pods` contiguous pods."""
-        rack_of = dc.rack_of()
-        racks_per_pod = max(1, math.ceil(dc.n_racks / max(1, n_pods)))
-        pod_of_rack = np.arange(dc.n_racks) // racks_per_pod
-        pod_of = pod_of_rack[rack_of]
-        n = dc.n_pms
-        d = np.full((n, n), 3, dtype=np.int8)
-        same_pod = pod_of[:, None] == pod_of[None, :]
-        same_rack = rack_of[:, None] == rack_of[None, :]
-        d[same_pod] = 2
-        d[same_rack] = 1
-        np.fill_diagonal(d, 0)
-        return cls(kappa=kappa, distance=d)
+        """The layout of `dc`, its racks split into `n_pods` contiguous pods."""
+        if n_pods < 1:
+            raise ValueError(f"need at least one pod, got {n_pods}")
+        racks_per_pod = math.ceil(dc.n_racks / n_pods)
+        return cls(kappa=kappa, rack_of=tuple(dc.rack_of().tolist()),
+                   pod_of_rack=tuple(r // racks_per_pod for r in range(dc.n_racks)))
+
+    def hops(self, src, dst) -> np.ndarray:
+        """Hops between PMs `src` and `dst`, elementwise with broadcasting."""
+        rack = np.asarray(self.rack_of)
+        pod = np.asarray(self.pod_of_rack)[rack]
+        src, dst = np.asarray(src), np.asarray(dst)
+        return 3 - (pod[src] == pod[dst]) - (rack[src] == rack[dst]) - (src == dst)
+
+    @cached_property
+    def distance(self) -> np.ndarray:
+        """[p, q] hops between every pair of PMs."""
+        pms = np.arange(len(self.rack_of))
+        return self.hops(pms[:, None], pms)
 
     def max_cell(self, vms) -> float:
         """Largest possible single-migration energy for this VM population, Wh."""
         if len(vms) == 0:
             return 0.0
-        return self.kappa * max(v.mem_gb for v in vms) * float(self.distance.max(initial=0))
+        # hops are an ultrametric, so no PM is farther from another than the farthest from PM 0
+        far = self.hops(0, np.arange(len(self.rack_of))).max()
+        return self.kappa * max(v.mem_gb for v in vms) * float(far)
 
 
 @dataclass(frozen=True)
@@ -144,13 +144,8 @@ def rack_energy(flags: TransitionFlags, racks, tau: float) -> float:
 
 def migration_energy(s_prev: Placement, s_next: Placement, model: MigrationCostModel, vms) -> float:
     """Total energy spent moving VMs between the two mappings, Wh."""
-    prev_hosts = s_prev.hosts()
-    next_hosts = s_next.hosts()
-    total = 0.0
-    for vm in vms:
-        d = model.distance[prev_hosts[vm.id], next_hosts[vm.id]]
-        total += model.kappa * vm.mem_gb * float(d)
-    return total
+    hops = model.hops(s_prev.hosts(), s_next.hosts())
+    return sum((model.kappa * vm.mem_gb * float(hops[vm.id]) for vm in vms), 0.0)
 
 
 def energy_components_wh(
@@ -202,7 +197,10 @@ def cpu_cycle_cost(t_avg: float, params: ReliabilityParams) -> float:
     dt = t_avg - params.t_amb
     if dt <= 0:
         raise ValueError(f"average CPU temperature {t_avg} K must exceed ambient {params.t_amb} K")
-    return params.mttf_hours * dt ** (-params.q)
+    try:
+        return params.mttf_hours * dt ** (-params.q)
+    except OverflowError:
+        raise ValueError(f"CPU cycle cost at {t_avg} K overflows with q = {params.q}") from None
 
 
 def pm_avg_temperature(theta: float, pm: PmSpec) -> float:
@@ -383,6 +381,7 @@ def cost_table(
     thetas = all_utilizations(dc.current, dc)
     online = dc.online_now()
     mem = np.array([v.mem_gb for v in dc.vms])
+    hops = model.hops(dc.current.hosts()[:, None], np.arange(dc.n_pms))
     c_ene_ub = energy_upper_bound(dc, weights, model)
     c_rel_ub, g_rel_ub, floor = reliability_bounds(dc, weights, params)
     gain_scale = _safe_ratio(weights.gamma, g_rel_ub)
@@ -390,7 +389,7 @@ def cost_table(
         idle_wh=np.array([tau * pm.k_idle * pm.p_max for pm in dc.pms]),
         slope_wh=np.array([tau * (1.0 - pm.k_idle) * pm.p_max / pm.cpu_capacity for pm in dc.pms]),
         rack_wh=np.array([tau * (r.tor_power + r.cooling_power) for r in dc.racks]),
-        mig_wh=model.kappa * mem[:, None] * model.distance[dc.current.hosts(), :].astype(float),
+        mig_wh=model.kappa * mem[:, None] * hops.astype(float),
         shut=np.array([
             weights.omega * pm_shutdown_cost(pm, float(thetas[pm.id]), params) if online[pm.id] else 0.0
             for pm in dc.pms

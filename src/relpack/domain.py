@@ -45,6 +45,8 @@ class PmSpec:
             raise StructuralError(f"pm {self.id}: cycle_count must be >= 0")
         if not self.t_idle <= self.t_max:
             raise StructuralError(f"pm {self.id}: need t_idle <= t_max")
+        if self.p_max < 0:
+            raise StructuralError(f"pm {self.id}: p_max must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,8 @@ class RackSpec:
     def __post_init__(self):
         if not self.pm_ids:
             raise StructuralError(f"rack {self.id}: needs at least one PM")
+        if self.tor_power < 0 or self.cooling_power < 0:
+            raise StructuralError(f"rack {self.id}: tor_power and cooling_power must be >= 0")
 
 
 # resource types that participate in packing

@@ -75,6 +75,10 @@ class Scenario:
             raise ValueError(f"time_cap must be a positive number of seconds, got {self.time_cap}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.kappa < 0:
+            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+        if self.n_pods < 1:
+            raise ValueError(f"n_pods must be >= 1, got {self.n_pods}")
         if self.cycle_count_tiers is not None:
             if sum(n for n, _ in self.cycle_count_tiers) != self.n_pms:
                 raise ValueError("cycle_count_tiers counts must sum to the PM count")
@@ -83,7 +87,8 @@ class Scenario:
             raise ValueError("cycle_count_spread must be >= 0")
         else:
             counters = [self.cycle_count_base, self.cycle_count_base + self.cycle_count_spread]
-        # the templates must pass the machine and VM rules at every starting counter
+        # the templates must pass the rack, machine and VM rules at every starting counter
+        RackSpec(0, (0,), self.tor_power, self.cooling_power)
         for f in counters:
             PmSpec(0, 0, bw_capacity=PM_BW_CAPACITY, cycle_count=f, **asdict(self.pm))
         VmSpec(0, **asdict(self.vm))

@@ -319,10 +319,14 @@ class _BranchAndBound:
         self.ram_rem = ev.ram_cap.tolist()
         self._orders: dict[tuple, list[int]] = {}
 
-    def seed(self, hosts: np.ndarray, obj: float):
-        if obj < self.best - TIE_EPS or (
+    def _beats(self, hosts, obj: float) -> bool:
+        """Better than the incumbent by more than TIE_EPS, or tied and lexicographically smaller."""
+        return obj < self.best - TIE_EPS or (
             obj <= self.best + TIE_EPS and tuple(hosts) < tuple(self.best_hosts)
-        ):
+        )
+
+    def seed(self, hosts: np.ndarray, obj: float):
+        if self._beats(hosts, obj):
             self.best = min(obj, self.best)
             self.best_hosts = hosts.copy()
 
@@ -358,7 +362,8 @@ class _BranchAndBound:
         if self.nodes > self.node_budget:
             raise _Budget
         if depth == self.n_vms:
-            if cost <= self.best + TIE_EPS:
+            # most leaves fail the cheap test, which skips a method call
+            if cost <= self.best + TIE_EPS and self._beats(self.hosts, cost):
                 self.seed(np.array(self.hosts, dtype=int), cost)
             return
         if self.node_bound(cost, stake, depth) > self.best + TIE_EPS:

@@ -1,7 +1,12 @@
 """Command-line interface tests: exit codes, artifacts, LP export."""
+import math
+import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from relpack import cli
 
@@ -79,12 +84,32 @@ class TestSolve:
         ("pm: {bw_capacity: 1000}\n", "pm.bw_capacity"),
         ("solver: {time_cap: 0}\n", "time_cap"),
         ("seed: -1\n", "seed"),
+        ("weights: {rho: .nan}\n", "weights.rho"),
+        ("reliability: {afr_floor: .nan}\n", "reliability.afr_floor"),
+        ("migration: {kappa: .nan}\n", "migration.kappa"),
+        ("racks: {tor_power: .nan}\n", "racks.tor_power"),
+        ("reliability: {t_amb: .nan}\n", "reliability.t_amb"),
+        ("pm: {p_max: .nan}\n", "pm.p_max"),
+        ("vms: {cpu: .nan}\n", "vms.cpu"),
+        ("migration: {kappa: -10}\n", "kappa"),
+        ("migration: {pods: 0}\n", "pods"),
+        ("migration: {pods: -3}\n", "pods"),
+        ("pm: {p_max: -300}\n", "p_max"),
+        ("racks: {tor_power: -1000}\n", "tor_power"),
+        ("racks: {cooling_power: -1}\n", "cooling_power"),
+        ("seed: 1.5\n", "seed"),
+        ("racks: {count: true}\n", "racks.count"),
+        ("reliability: {q: 400, t_amb: 317.9}\n", "q = 400"),
     ], ids=["bad-yaml", "negative-cycle-count", "negative-cycle-count-with-spread",
             "cycle-count-past-curve", "cycle-count-past-curve-over-slots",
             "cycle-count-spread-past-curve",
             "k-idle-above-one", "t-idle-above-t-max", "negative-vm-cpu", "t-amb-at-t-idle",
             "zero-slots", "negative-ram-capacity", "zero-cpu-capacity",
-            "unknown-section", "unknown-pm-key", "time-cap-zero", "negative-seed"])
+            "unknown-section", "unknown-pm-key", "time-cap-zero", "negative-seed",
+            "nan-rho", "nan-afr-floor", "nan-kappa", "nan-tor-power", "nan-t-amb",
+            "nan-p-max", "nan-vm-cpu", "negative-kappa", "zero-pods", "negative-pods",
+            "negative-p-max", "negative-tor-power", "negative-cooling-power",
+            "fractional-seed", "bool-rack-count", "cpu-cycle-cost-overflow"])
     def test_parse_error_exit_code(self, tmp_path, capsys, text, named):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text)
@@ -165,3 +190,60 @@ class TestExperiment:
         # 3 settings x (1 seed + mean row) + header
         assert len(lines) == 1 + 3 * 2
         assert (out / "weights_table.svg").exists()
+
+
+# In-domain values of every scenario key (section None is the top level),
+# kept small so that a solve takes milliseconds: at most 3 racks of 3 PMs,
+# 8 VMs, 3 slots and a 0.05 s cap.
+_VALID = {
+    "racks": {"count": st.integers(1, 3), "pms_per_rack": st.integers(1, 3),
+              "tor_power": st.floats(0, 1e3), "cooling_power": st.floats(0, 1e3)},
+    "pm": {"cpu_capacity": st.floats(1, 4e3), "ram_capacity": st.floats(1, 2e4),
+           "p_max": st.floats(0, 500), "k_idle": st.floats(0, 1), "t_idle": st.floats(290, 360),
+           "t_max": st.floats(290, 400), "cycle_count": st.integers(0, 1599),
+           "cycle_count_spread": st.integers(0, 100)},
+    "vms": {"count": st.integers(0, 8), "cpu": st.floats(0, 2e3), "ram": st.floats(0, 2e3),
+            "mem_gb": st.floats(0, 4)},
+    "weights": {key: st.floats(0, 1) for key in ("alpha", "beta", "gamma", "rho", "omega", "tau")},
+    "reliability": {"delta": st.floats(0, 5), "varrho": st.floats(0, 5), "varphi": st.floats(0, 5),
+                    "q": st.floats(0.1, 5), "t_amb": st.floats(250, 330),
+                    "mttf_hours": st.floats(1, 1e5), "hours_per_year": st.floats(1, 1e4),
+                    "afr_floor": st.floats(1e-9, 1e-3)},
+    "migration": {"kappa": st.floats(0, 200), "pods": st.integers(1, 4)},
+    "solver": {"kind": st.sampled_from(["exact", "greedy"]), "time_cap": st.floats(1e-3, 0.05)},
+    None: {"seed": st.integers(0, 100), "n_slots": st.integers(1, 3)},
+}
+# out-of-domain or malformed values; no huge counts, because a count of
+# 10**12 passes every rule and the build then exhausts memory
+_JUNK = st.one_of(
+    st.sampled_from([None, True, False, "", "x", "3", [], [1], {}, math.nan, math.inf, -math.inf]),
+    st.floats(-1e3, 0), st.floats(0, 10), st.integers(-5, 0),
+)
+_SMALL = {"racks": {"count": 2, "pms_per_rack": 2}, "vms": {"count": 4}, "solver": {"time_cap": 0.05}}
+
+
+@st.composite
+def _scenario_dicts(draw):
+    data = {name: dict(section) for name, section in _SMALL.items()}
+    for name in draw(st.lists(st.sampled_from(list(_VALID)), unique=True)):
+        keys = _VALID[name]
+        if name is None:
+            target = data
+        elif draw(st.integers(0, 9)) == 0:  # a section that is not a mapping
+            data[name] = draw(st.sampled_from([[1], "x", 3, True]))
+            continue
+        else:
+            target = data.setdefault(name, {})
+        for key in draw(st.lists(st.sampled_from([*keys, "bogus"]), unique=True)):
+            target[key] = draw(st.one_of(keys.get(key, _JUNK), _JUNK))
+    return data
+
+
+@given(_scenario_dicts())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_any_scenario_ends_in_a_documented_exit_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert cli.main(["solve", "--scenario", str(path), "--out", str(Path(tmp) / "out")]) in (
+            cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_INFEASIBLE, cli.EXIT_TIME_CAP)

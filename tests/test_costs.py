@@ -77,7 +77,7 @@ class TestRackAndMigration:
         assert (np.diag(d) == 0).all()
         assert d[0, 1] == 1 and d[0, 2] == 3  # rack 0 and rack 1 sit in different pods
         with pytest.raises(ValueError):
-            C.MigrationCostModel(kappa=1.0, distance=np.ones((2, 3)))
+            C.MigrationCostModel.from_layout(tiny_state, kappa=1.0, n_pods=0)
 
 
 class TestReliability:

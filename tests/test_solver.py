@@ -189,7 +189,8 @@ class TestCandidates:
 def test_incumbents_carry_their_objective(seed):
     """Every incumbent the B&B records, seeded or found at a leaf, is valued
     at `_FastEval.objective` of its placement.  Every offered placement is
-    valid, and none is seeded twice before the search starts."""
+    valid, none is seeded twice before the search starts, and a leaf is
+    offered only when it replaces the incumbent."""
     state, weights, params, mig = random_tiny_instance(np.random.default_rng(seed))
     gaps, seeded = [], []
     seed_fn = S._BranchAndBound.seed
@@ -198,8 +199,11 @@ def test_incumbents_carry_their_objective(seed):
         assert validate_placement(Placement.from_hosts(hosts, state.n_pms), state) == []
         if bnb.nodes == 0:
             seeded.append(tuple(hosts))
+        before = bnb.best_hosts
         seed_fn(bnb, hosts, obj)
         gaps.append(abs(bnb.best - bnb.ev.objective(bnb.best_hosts)))
+        if bnb.nodes > 0:
+            assert not np.array_equal(bnb.best_hosts, before)
 
     S._BranchAndBound.seed = recording_seed
     try:
