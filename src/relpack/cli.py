@@ -76,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "solve":
             return cmd_solve(args)
         return cmd_experiment(args)
-    except ScenarioError as exc:
+    except (ScenarioError, C.CostRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except C.InfeasibleError as exc:

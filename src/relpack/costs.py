@@ -6,7 +6,7 @@ internally in watt-hours; the electricity price applies after conversion to kWh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -23,6 +23,10 @@ from .domain import (
 
 class InfeasibleError(ValueError):
     """Aggregate demand exceeds aggregate capacity; no placement can exist."""
+
+
+class CostRangeError(ValueError):
+    """The instance's numbers overflow a cost coefficient, scale or bound."""
 
 
 @dataclass(frozen=True)
@@ -370,6 +374,8 @@ class CostTable:
     floor: int             # packing floor
 
 
+# overflow is reported by the finiteness check, naming the entry, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def cost_table(
     dc: DatacenterState,
     weights: CostWeights,
@@ -384,8 +390,9 @@ def cost_table(
     hops = model.hops(dc.current.hosts()[:, None], np.arange(dc.n_pms))
     c_ene_ub = energy_upper_bound(dc, weights, model)
     c_rel_ub, g_rel_ub, floor = reliability_bounds(dc, weights, params)
+    bounds = {"c_ene_ub": c_ene_ub, "c_rel_ub": c_rel_ub, "g_rel_ub": g_rel_ub}
     gain_scale = _safe_ratio(weights.gamma, g_rel_ub)
-    return CostTable(
+    table = CostTable(
         idle_wh=np.array([tau * pm.k_idle * pm.p_max for pm in dc.pms]),
         slope_wh=np.array([tau * (1.0 - pm.k_idle) * pm.p_max / pm.cpu_capacity for pm in dc.pms]),
         rack_wh=np.array([tau * (r.tor_power + r.cooling_power) for r in dc.racks]),
@@ -401,3 +408,10 @@ def cost_table(
         gain=gain_scale * weights.omega * tau,
         floor=floor,
     )
+    # a non-finite entry would silently zero a term's scale or poison the objective
+    for name, value in [*bounds.items(), *((f.name, getattr(table, f.name)) for f in fields(table))]:
+        bad = np.asarray(value)[~np.isfinite(value)]
+        if bad.size:
+            raise CostRangeError(f"cost table entry {name} overflows to {bad[0]}; "
+                                 "the scenario's numbers are too large")
+    return table

@@ -17,7 +17,8 @@ Schema (all keys optional, defaults in parentheses; any other key is an error):
 
 Every number is finite and not a bool; counts, pods, seed, n_slots and the
 cycle counters are whole numbers.  kappa, p_max, tor_power and
-cooling_power are >= 0, pods >= 1, seed >= 0 and time_cap > 0.  Migration
+cooling_power are >= 0, pods >= 1, seed >= 0 and time_cap > 0.  The fleet
+has at most `sim.MAX_CELLS` VM-to-PM cells, PMs x max(VMs, 1).  Migration
 hops follow the rack/pod tree: the racks split into `pods` contiguous pods.
 A disk counter rises by at most 1 per slot and the AFR curve ends at 1599, so
 cycle_count + cycle_count_spread + n_slots - 1 may not exceed 1599.

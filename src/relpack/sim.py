@@ -22,6 +22,11 @@ from .domain import (
 # every machine records this bandwidth (Mbps); no constraint reads it
 PM_BW_CAPACITY = 1000.0
 
+# Largest fleet a scenario may describe, in VM-to-PM cells, |P| x max(|V|, 1):
+# the placement, the cost table and the MILP all hold one entry per cell.
+# Checked before anything is built; admits 320 PMs x 1200 VMs (384k cells).
+MAX_CELLS = 10**6
+
 
 @dataclass(frozen=True)
 class PmTemplate:
@@ -69,6 +74,9 @@ class Scenario:
     def __post_init__(self):
         if self.n_racks <= 0 or self.pms_per_rack <= 0 or self.n_vms < 0 or self.n_slots <= 0:
             raise ValueError("rack, PM-per-rack and slot counts must be positive, VM count >= 0")
+        if self.n_pms * max(self.n_vms, 1) > MAX_CELLS:
+            raise ValueError(f"{self.n_pms} PMs x {self.n_vms} VMs exceed the limit of "
+                             f"{MAX_CELLS} VM-to-PM cells")
         if self.solver not in ("exact", "greedy"):
             raise ValueError(f"unknown solver kind {self.solver!r}")
         if not 0 < self.time_cap < float("inf"):

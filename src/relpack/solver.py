@@ -415,7 +415,8 @@ def solve_exact(
         raise ValueError("time_cap must be positive and finite")
     t0 = time.perf_counter()
     ev = _FastEval(dc, weights, params, mig_model)
-    bnb = _BranchAndBound(dc, ev, max(1, int(time_cap * NODES_PER_SECOND)))
+    # a cap too large to count in nodes leaves the search unbounded
+    bnb = _BranchAndBound(dc, ev, max(1, int(min(time_cap * NODES_PER_SECOND, 2.0**63))))
     # seed each distinct descent once; a start it moved from is worse by > TIE_EPS, so cannot win
     descents = dict.fromkeys(tuple(_local_search(h, ev)) for h in _candidate_placements(dc, ev))
     for hosts in descents:

@@ -20,6 +20,72 @@ SMALL_YAML = (
 )
 
 
+# a short cap, so that a case the checks miss still ends quickly
+_CAPPED = "solver: {time_cap: 0.05}\n"
+
+# scenario files that must exit 2, and the text their error line must contain
+_PARSE_ERRORS = [
+    ("racks: [oops\n", "invalid YAML"),
+    ("pm: {cycle_count: -5}\n", "cycle_count"),
+    ("pm: {cycle_count: -5, cycle_count_spread: 10}\n", "cycle_count"),
+    ("pm: {cycle_count: 1600}\n", "cycle counts reach 1600"),
+    ("pm: {cycle_count: 1599}\nn_slots: 2\n", "cycle counts reach 1600"),
+    ("pm: {cycle_count: 1500, cycle_count_spread: 100}\n", "cycle counts reach 1600"),
+    ("pm: {k_idle: 1.5}\n", "k_idle"),
+    ("pm: {t_idle: 360}\n", "t_idle"),
+    ("vms: {cpu: -1}\n", "demands"),
+    ("reliability: {t_amb: 318}\n", "ambient"),
+    ("n_slots: 0\n", "slot count"),
+    ("pm: {ram_capacity: -5}\n", "ram_capacity"),
+    ("pm: {cpu_capacity: 0}\n", "cpu_capacity"),
+    ("wieghts: {alpha: 0.5}\n", "wieghts"),
+    ("pm: {bw_capacity: 1000}\n", "pm.bw_capacity"),
+    ("solver: {time_cap: 0}\n", "time_cap"),
+    ("seed: -1\n", "seed"),
+    ("weights: {rho: .nan}\n", "weights.rho"),
+    ("reliability: {afr_floor: .nan}\n", "reliability.afr_floor"),
+    ("migration: {kappa: .nan}\n", "migration.kappa"),
+    ("racks: {tor_power: .nan}\n", "racks.tor_power"),
+    ("reliability: {t_amb: .nan}\n", "reliability.t_amb"),
+    ("pm: {p_max: .nan}\n", "pm.p_max"),
+    ("vms: {cpu: .nan}\n", "vms.cpu"),
+    ("migration: {kappa: -10}\n", "kappa"),
+    ("migration: {pods: 0}\n", "pods"),
+    ("migration: {pods: -3}\n", "pods"),
+    ("pm: {p_max: -300}\n", "p_max"),
+    ("racks: {tor_power: -1000}\n", "tor_power"),
+    ("racks: {cooling_power: -1}\n", "cooling_power"),
+    ("seed: 1.5\n", "seed"),
+    ("racks: {count: true}\n", "racks.count"),
+    ("reliability: {q: 400, t_amb: 317.9}\n", "q = 400"),
+    # finite inputs whose cost table overflows
+    (_CAPPED + "weights: {tau: 1.0e308}\n", "c_ene_ub overflows"),
+    (_CAPPED + "pm: {p_max: 1.0e308}\n", "c_ene_ub overflows"),
+    (_CAPPED + "pm: {p_max: 1.0e308}\nweights: {tau: 10}\n", "c_ene_ub overflows"),
+    (_CAPPED + "weights: {omega: 1.0e308}\n", "c_rel_ub overflows"),
+    (_CAPPED + "vms: {mem_gb: 1.0e308}\n", "c_ene_ub overflows"),
+    (_CAPPED + "reliability: {hours_per_year: 1.0e308}\n", "c_rel_ub overflows"),
+    (_CAPPED + "racks: {tor_power: 1.0e308}\n", "c_ene_ub overflows"),
+    (_CAPPED + "racks: {cooling_power: 1.0e308}\n", "c_ene_ub overflows"),
+    # too large to build
+    ("racks: {count: 1000000000000}\n", "VM-to-PM cells"),
+    ("vms: {count: 1000000000000}\n", "VM-to-PM cells"),
+]
+_PARSE_ERROR_IDS = [
+    "bad-yaml", "negative-cycle-count", "negative-cycle-count-with-spread",
+    "cycle-count-past-curve", "cycle-count-past-curve-over-slots",
+    "cycle-count-spread-past-curve", "k-idle-above-one", "t-idle-above-t-max",
+    "negative-vm-cpu", "t-amb-at-t-idle", "zero-slots", "negative-ram-capacity",
+    "zero-cpu-capacity", "unknown-section", "unknown-pm-key", "time-cap-zero", "negative-seed",
+    "nan-rho", "nan-afr-floor", "nan-kappa", "nan-tor-power", "nan-t-amb", "nan-p-max",
+    "nan-vm-cpu", "negative-kappa", "zero-pods", "negative-pods", "negative-p-max",
+    "negative-tor-power", "negative-cooling-power", "fractional-seed", "bool-rack-count",
+    "cpu-cycle-cost-overflow", "tau-overflow", "p-max-overflow", "p-max-overflow-long-slot",
+    "omega-overflow", "mem-gb-overflow", "hours-per-year-overflow", "tor-power-overflow",
+    "cooling-power-overflow", "huge-rack-count", "huge-vm-count",
+]
+
+
 @pytest.fixture
 def small_scenario_file(tmp_path):
     path = tmp_path / "small.yaml"
@@ -66,56 +132,23 @@ class TestSolve:
         reported = float(report_line.split(",")[11])
         assert abs(obj - reported) < 1e-6
 
-    @pytest.mark.parametrize("text, named", [
-        ("racks: [oops\n", "invalid YAML"),
-        ("pm: {cycle_count: -5}\n", "cycle_count"),
-        ("pm: {cycle_count: -5, cycle_count_spread: 10}\n", "cycle_count"),
-        ("pm: {cycle_count: 1600}\n", "cycle counts reach 1600"),
-        ("pm: {cycle_count: 1599}\nn_slots: 2\n", "cycle counts reach 1600"),
-        ("pm: {cycle_count: 1500, cycle_count_spread: 100}\n", "cycle counts reach 1600"),
-        ("pm: {k_idle: 1.5}\n", "k_idle"),
-        ("pm: {t_idle: 360}\n", "t_idle"),
-        ("vms: {cpu: -1}\n", "demands"),
-        ("reliability: {t_amb: 318}\n", "ambient"),
-        ("n_slots: 0\n", "slot count"),
-        ("pm: {ram_capacity: -5}\n", "ram_capacity"),
-        ("pm: {cpu_capacity: 0}\n", "cpu_capacity"),
-        ("wieghts: {alpha: 0.5}\n", "wieghts"),
-        ("pm: {bw_capacity: 1000}\n", "pm.bw_capacity"),
-        ("solver: {time_cap: 0}\n", "time_cap"),
-        ("seed: -1\n", "seed"),
-        ("weights: {rho: .nan}\n", "weights.rho"),
-        ("reliability: {afr_floor: .nan}\n", "reliability.afr_floor"),
-        ("migration: {kappa: .nan}\n", "migration.kappa"),
-        ("racks: {tor_power: .nan}\n", "racks.tor_power"),
-        ("reliability: {t_amb: .nan}\n", "reliability.t_amb"),
-        ("pm: {p_max: .nan}\n", "pm.p_max"),
-        ("vms: {cpu: .nan}\n", "vms.cpu"),
-        ("migration: {kappa: -10}\n", "kappa"),
-        ("migration: {pods: 0}\n", "pods"),
-        ("migration: {pods: -3}\n", "pods"),
-        ("pm: {p_max: -300}\n", "p_max"),
-        ("racks: {tor_power: -1000}\n", "tor_power"),
-        ("racks: {cooling_power: -1}\n", "cooling_power"),
-        ("seed: 1.5\n", "seed"),
-        ("racks: {count: true}\n", "racks.count"),
-        ("reliability: {q: 400, t_amb: 317.9}\n", "q = 400"),
-    ], ids=["bad-yaml", "negative-cycle-count", "negative-cycle-count-with-spread",
-            "cycle-count-past-curve", "cycle-count-past-curve-over-slots",
-            "cycle-count-spread-past-curve",
-            "k-idle-above-one", "t-idle-above-t-max", "negative-vm-cpu", "t-amb-at-t-idle",
-            "zero-slots", "negative-ram-capacity", "zero-cpu-capacity",
-            "unknown-section", "unknown-pm-key", "time-cap-zero", "negative-seed",
-            "nan-rho", "nan-afr-floor", "nan-kappa", "nan-tor-power", "nan-t-amb",
-            "nan-p-max", "nan-vm-cpu", "negative-kappa", "zero-pods", "negative-pods",
-            "negative-p-max", "negative-tor-power", "negative-cooling-power",
-            "fractional-seed", "bool-rack-count", "cpu-cycle-cost-overflow"])
+    @pytest.mark.parametrize("text, named", _PARSE_ERRORS, ids=_PARSE_ERROR_IDS)
     def test_parse_error_exit_code(self, tmp_path, capsys, text, named):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text)
         assert cli.main(["solve", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == cli.EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err.splitlines()[0]
+
+    @pytest.mark.parametrize("text, named", _PARSE_ERRORS, ids=_PARSE_ERROR_IDS)
+    def test_parse_error_exit_code_with_export(self, tmp_path, capsys, text, named):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        argv = ["solve", "--scenario", str(bad), "--out", str(tmp_path / "out"), "--export-lp"]
+        assert cli.main(argv) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err.splitlines()[0]
+        assert not (tmp_path / "out" / "model.lp").exists()
 
     @pytest.mark.parametrize("argv, flag", [
         (["solve", "--time-cap", "-1"], "--time-cap"),
@@ -213,10 +246,10 @@ _VALID = {
     "solver": {"kind": st.sampled_from(["exact", "greedy"]), "time_cap": st.floats(1e-3, 0.05)},
     None: {"seed": st.integers(0, 100), "n_slots": st.integers(1, 3)},
 }
-# out-of-domain or malformed values; no huge counts, because a count of
-# 10**12 passes every rule and the build then exhausts memory
+# out-of-domain, malformed or extreme values
 _JUNK = st.one_of(
-    st.sampled_from([None, True, False, "", "x", "3", [], [1], {}, math.nan, math.inf, -math.inf]),
+    st.sampled_from([None, True, False, "", "x", "3", [], [1], {}, math.nan, math.inf, -math.inf,
+                     1e308, -1e308, 10**12, -10**12, 2**63]),
     st.floats(-1e3, 0), st.floats(0, 10), st.integers(-5, 0),
 )
 _SMALL = {"racks": {"count": 2, "pms_per_rack": 2}, "vms": {"count": 4}, "solver": {"time_cap": 0.05}}
@@ -239,11 +272,12 @@ def _scenario_dicts(draw):
     return data
 
 
-@given(_scenario_dicts())
+@given(_scenario_dicts(), st.booleans())
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_any_scenario_ends_in_a_documented_exit_code(data):
+def test_any_scenario_ends_in_a_documented_exit_code(data, export_lp):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.yaml"
         path.write_text(yaml.safe_dump(data))
-        assert cli.main(["solve", "--scenario", str(path), "--out", str(Path(tmp) / "out")]) in (
+        argv = ["solve", "--scenario", str(path), "--out", str(Path(tmp) / "out")]
+        assert cli.main(argv + ["--export-lp"] * export_lp) in (
             cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_INFEASIBLE, cli.EXIT_TIME_CAP)

@@ -1,11 +1,12 @@
 """MILP construction, linearization, counts, and LP export tests."""
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
+from relpack import cli, milp, sim
 from relpack import costs as C
-from relpack import milp
 from relpack.domain import Placement
 
 import lp_oracle
@@ -163,3 +164,70 @@ class TestRandomized:
                     state.current, placement, state, weights, params, mig
                 )
                 assert lin == pytest.approx(exact, rel=1e-9, abs=1e-12)
+
+
+def _pinned_instances():
+    """(label, state, weights, params, migration model) of every instance whose LP bytes are pinned."""
+    out = []
+    for label, scenario, seed in [
+        ("fleet32-s0", sim.Scenario(n_racks=8, pms_per_rack=4, n_vms=52), 0),  # cli-export's 32-PM fleet
+        ("weights-table-1-0.2-1-s1", cli.weights_table_scenario(1.0, 0.2, 1.0), 1),
+        ("alpha-sweep-16x25-a0.5-s0", cli.alpha_sweep_scenario(4, 25, 0.5), 0),
+    ]:
+        state = sim.build_datacenter(scenario, seed=seed)
+        out.append((label, state, scenario.weights, scenario.reliability,
+                    sim.migration_model(scenario, state)))
+    for seed in (0, 4, 7):  # each has offline PMs
+        out.append((f"tiny-s{seed}", *random_tiny_instance(np.random.default_rng(seed))))
+    # PM 1 offline, a VM with no demand and no memory to move, racks of unequal size
+    state = build_state([2, 1], [(0.0, 0.0, 0.0), (500.0, 612.0, 0.612), (300.0, 200.0, 1.0)], [0, 0, 2])
+    out.append(("zero-demand", state, C.CostWeights(), C.ReliabilityParams(),
+                C.MigrationCostModel.from_layout(state)))
+    return out
+
+
+# SHA-256 of `export_lp` for `_pinned_instances`: the LP bytes are an output
+# format, so any change to them must be deliberate
+_LP_SHA256 = {
+    "fleet32-s0": "6de93794a4c05a3fe3a0aa5fa693e2cb18f9e9f2a664a0e58750151a0435358b",
+    "weights-table-1-0.2-1-s1": "f97a5c75d06eef1a3480d66e972826d046199ae14dbf99a83c6eb5e1e83f7e9c",
+    "alpha-sweep-16x25-a0.5-s0": "d85f3127aa1147149c599445f4d17b50b107bbd0f36ab1aa92be9d9a7d83078e",
+    "tiny-s0": "361472fd7aa3ff5910cfeaa39fdf69088bbb9147200e96e9341a445a53c43047",
+    "tiny-s4": "de00b9bf41f11985a6d28a449107546a02f55adff88bc0652b6437317e9d6bef",
+    "tiny-s7": "12c84f2e9baf8dd2baa188d41a5ae6d548a52affc9afa4d43c713b1a7c993a9d",
+    "zero-demand": "9036215865766a405747b5db8a7bd0ae0f9e138434dab3a87841c5d8d4d31531",
+}
+
+
+class TestLpBytes:
+    def test_export_matches_pinned_digests(self):
+        got = {
+            label: hashlib.sha256(milp.export_lp(milp.build_model(*inst)).encode()).hexdigest()
+            for label, *inst in _pinned_instances()
+        }
+        assert got == _LP_SHA256
+
+    def test_csr_columns_strictly_increase(self, rng):
+        instances = [inst for _, *inst in _pinned_instances()]
+        instances += [random_tiny_instance(rng) for _ in range(20)]
+        for inst in instances:
+            model = milp.build_model(*inst)
+            ptr = model.indptr
+            assert ptr[0] == 0 and ptr[-1] == len(model.cols) == len(model.vals)
+            assert len(ptr) == len(model.row_names) + 1 == len(model.senses) + 1 == len(model.rhs) + 1
+            assert (np.diff(ptr) >= 0).all()
+            assert ((model.cols >= 0) & (model.cols < len(model.var_names))).all()
+            for a, b in zip(ptr[:-1], ptr[1:]):
+                assert (np.diff(model.cols[a:b]) > 0).all()
+
+    def test_parse_roundtrip_random_instances(self, rng):
+        for _ in range(20):
+            model = milp.build_model(*random_tiny_instance(rng))
+            parsed = lp_oracle.parse_lp(milp.export_lp(model))
+            assert parsed.constraints == [
+                (c.name, {k: v for k, v in c.coeffs.items() if v != 0}, c.sense, c.rhs)
+                for c in model.constraints
+            ]
+            assert parsed.objective == model.objective
+            assert parsed.binary == set(model.binary_names)
+            assert parsed.lower == dict.fromkeys(model.continuous_names, 0.0)
