@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -97,12 +96,6 @@ class MigrationCostModel:
         pod = np.asarray(self.pod_of_rack)[rack]
         src, dst = np.asarray(src), np.asarray(dst)
         return 3 - (pod[src] == pod[dst]) - (rack[src] == rack[dst]) - (src == dst)
-
-    @cached_property
-    def distance(self) -> np.ndarray:
-        """[p, q] hops between every pair of PMs."""
-        pms = np.arange(len(self.rack_of))
-        return self.hops(pms[:, None], pms)
 
     def max_cell(self, vms) -> float:
         """Largest possible single-migration energy for this VM population, Wh."""
@@ -371,7 +364,6 @@ class CostTable:
     rel_scale: float       # objective weight of one shutdown dollar
     gain_scale: float      # objective weight of one conserved dollar
     gain: float            # gain_scale * omega * tau, left to right (not gain_scale * rest)
-    floor: int             # packing floor
 
 
 # overflow is reported by the finiteness check, naming the entry, not warned about
@@ -389,7 +381,7 @@ def cost_table(
     mem = np.array([v.mem_gb for v in dc.vms])
     hops = model.hops(dc.current.hosts()[:, None], np.arange(dc.n_pms))
     c_ene_ub = energy_upper_bound(dc, weights, model)
-    c_rel_ub, g_rel_ub, floor = reliability_bounds(dc, weights, params)
+    c_rel_ub, g_rel_ub, _ = reliability_bounds(dc, weights, params)
     bounds = {"c_ene_ub": c_ene_ub, "c_rel_ub": c_rel_ub, "g_rel_ub": g_rel_ub}
     gain_scale = _safe_ratio(weights.gamma, g_rel_ub)
     table = CostTable(
@@ -406,7 +398,6 @@ def cost_table(
         rel_scale=_safe_ratio(weights.beta, c_rel_ub),
         gain_scale=gain_scale,
         gain=gain_scale * weights.omega * tau,
-        floor=floor,
     )
     # a non-finite entry would silently zero a term's scale or poison the objective
     for name, value in [*bounds.items(), *((f.name, getattr(table, f.name)) for f in fields(table))]:

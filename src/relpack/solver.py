@@ -1,13 +1,24 @@
 """Exact and heuristic solvers for the next-slot placement decision.
 
-`solve_exact` is a depth-first branch-and-bound over VM-to-PM assignments,
-seeded with deterministic greedy incumbents.  Its search effort is capped by
-a node budget derived from the time cap at a fixed calibrated rate, so a
-given instance always explores exactly the same nodes regardless of wall
-clock or host speed.  `solve_bruteforce` is the enumeration oracle.
+`solve_exact` has two exact paths, chosen by its input:
+
+- A fleet of one VM and one PM template (every scenario file builds one) is
+  solved by a dynamic program over the layout tree: how many PMs each rack,
+  pod and the root keep on.  A tie pass then picks the lexicographically
+  smallest optimal placement.  No search.
+- Any other instance goes to a depth-first branch-and-bound over VM-to-PM
+  assignments, seeded with the status quo and first-fit-decreasing.
+
+Both paths meter their work in deterministic units against a budget derived
+from the time cap at a fixed calibrated rate, so a given instance always does
+exactly the same work regardless of wall clock or host speed.  On either
+path `optimal` is a proof and `time-capped` means the budget ran out first;
+`solve_exact` says what each path returns then.  `solve_bruteforce` is the
+enumeration oracle.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -16,8 +27,13 @@ import numpy as np
 from . import costs as C
 from .domain import DatacenterState, Placement
 
-# Deterministic work accounting: a "second" of cap buys this many search nodes.
-NODES_PER_SECOND = 20_000
+# Deterministic work accounting: a "second" of cap buys this many work units
+# (B&B nodes, min-plus pairs, tie-pass host checks and walked PMs).  Calibrated
+# on one core with the benchmark's instances: the B&B runs ~1M nodes/s and the
+# template program 0.7-1.1M units/s at 32-64 PMs, so a cap-second buys about a
+# second of work there.  Min-plus pairs are vectorised, so large fleets spend
+# units faster (~2.6M/s at 320 PMs).
+NODES_PER_SECOND = 1_000_000
 
 BRUTE_FORCE_LIMIT = 10_000_000
 
@@ -30,7 +46,7 @@ class SolveResult:
     objective: float
     breakdown: C.CostBreakdown
     nodes_explored: int
-    wall_time: float  # deterministic work estimate, nodes / NODES_PER_SECOND
+    wall_time: float  # deterministic work estimate: work units / NODES_PER_SECOND (1M per second)
     proof: str        # "optimal" | "time-capped" | "heuristic"
     clock_seconds: float = 0.0  # measured, informational only
 
@@ -63,10 +79,10 @@ class _FastEval:
         self.ram_cap = dc.capacities("ram")
         self.rack_of = dc.rack_of().tolist()
         self.online_prev = dc.online_now()
-        self.prev_hosts = dc.current.hosts()
         self.vm_order = sorted(range(dc.n_vms), key=lambda v: (-self.cpu[v], v))
         t = C.cost_table(dc, weights, params, mig_model)
-        self.floor = t.floor
+        self.slope = t.slope_wh
+        self.ene_scale = t.ene_scale
         shut = t.rel_scale * t.shut
         self.shut = shut.tolist()  # shutdown cost of each PM, 0 if it is dark now
         self.shut_total = float(shut.sum())
@@ -77,8 +93,6 @@ class _FastEval:
         # fluid[d]: cheapest load energy of the VMs vm_order[d:], any host
         fluid = (t.slope_wh.min() if dc.n_pms else 0.0) * self.cpu[self.vm_order]
         self.fluid = (t.ene_scale * np.append(np.cumsum(fluid[::-1])[::-1], 0.0)).tolist()
-        # near[p]: every PM ranked by (hop distance from p, id)
-        self.near = np.argsort(mig_model.distance, axis=1, kind="stable").tolist()
 
     def objective(self, hosts) -> float:
         """Sum the table in `vm_order`, the order the search carries its total."""
@@ -121,6 +135,23 @@ def _result(
         proof=proof,
         clock_seconds=clock,
     )
+
+
+class _Budget(Exception):
+    pass
+
+
+class _Meter:
+    """Work units spent so far; spending past the budget raises `_Budget`."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.used = 0
+
+    def spend(self, units: int):
+        if self.used + units > self.budget:
+            raise _Budget
+        self.used += units
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +203,11 @@ def solve_bruteforce(
 
 
 # ---------------------------------------------------------------------------
-# greedy + candidate construction
+# greedy
 
 
-def greedy_incumbent(
-    dc: DatacenterState,
-    weights: C.CostWeights,
-    params: C.ReliabilityParams,
-    mig_model: C.MigrationCostModel,
-) -> SolveResult:
-    """First-fit-decreasing on CPU demand, trying currently-online PMs first."""
+def _first_fit_decreasing(dc: DatacenterState) -> np.ndarray | None:
+    """First-fit-decreasing on CPU demand, currently-online PMs first; None if it fails."""
     cpu, ram = dc.demands("cpu"), dc.demands("ram")
     cpu_rem, ram_rem = dc.capacities("cpu"), dc.capacities("ram")
     online = dc.online_now()
@@ -195,104 +221,345 @@ def greedy_incumbent(
                 ram_rem[p] -= ram[v]
                 break
         else:
-            raise C.InfeasibleError("first-fit-decreasing found no feasible assignment")
+            return None
+    return hosts
+
+
+def greedy_incumbent(
+    dc: DatacenterState,
+    weights: C.CostWeights,
+    params: C.ReliabilityParams,
+    mig_model: C.MigrationCostModel,
+) -> SolveResult:
+    """First-fit-decreasing on CPU demand, trying currently-online PMs first."""
+    # the exact path's check: coefficients that overflow raise CostRangeError
+    C.cost_table(dc, weights, params, mig_model)
+    hosts = _first_fit_decreasing(dc)
+    if hosts is None:
+        raise C.InfeasibleError("first-fit-decreasing found no feasible assignment")
     return _result(hosts, dc, weights, params, mig_model, 0, "heuristic", 0.0)
 
 
-def _candidate_placements(dc: DatacenterState, ev: _FastEval) -> list[np.ndarray]:
-    """Deterministic family of distinct starting placements, status quo first."""
-    cpu, ram = ev.cpu.tolist(), ev.ram.tolist()
-    prev_hosts = ev.prev_hosts.tolist()
-    # an insertion-ordered set; every packing fits the capacities, as the status quo does
-    cands = dict.fromkeys([tuple(prev_hosts)])
-    util_now = np.bincount(ev.prev_hosts, weights=ev.cpu, minlength=dc.n_pms) / ev.cpu_cap
-    # pack onto m machines, keeping the fullest current hosts and cheap moves;
-    # the second ranking fills the busiest racks first so whole racks go dark
-    rack_util = np.bincount(ev.rack_of, weights=util_now, minlength=dc.n_racks)
-    ranked_by_pm = sorted(range(dc.n_pms), key=lambda p: (not ev.online_prev[p], -util_now[p], p))
-    ranked_by_rack = sorted(
-        range(dc.n_pms),
-        key=lambda p: (-rack_util[ev.rack_of[p]], ev.rack_of[p], -util_now[p], p),
-    )
-    lo = max(ev.floor, 1) if dc.n_vms else 0
-    for m in range(lo, dc.n_pms + 1):
-        for ranked in (ranked_by_pm, ranked_by_rack):
-            target = [False] * dc.n_pms
-            for p in ranked[:m]:
-                target[p] = True
-            cpu_rem = ev.cpu_cap.tolist()
-            ram_rem = ev.ram_cap.tolist()
-            hosts = [-1] * dc.n_vms
-            for v in ev.vm_order:
-                c, r = cpu[v], ram[v]
-                # targets nearest the current host first
-                for p in ev.near[prev_hosts[v]]:
-                    if target[p] and c <= cpu_rem[p] + 1e-9 and r <= ram_rem[p] + 1e-9:
-                        hosts[v] = p
-                        cpu_rem[p] -= c
-                        ram_rem[p] -= r
+def _seeds(dc: DatacenterState) -> list[np.ndarray]:
+    """The status quo, and first-fit-decreasing if it packs and differs from it."""
+    seeds = [dc.current.hosts()]
+    ffd = _first_fit_decreasing(dc)
+    if ffd is not None and not np.array_equal(ffd, seeds[0]):
+        seeds.append(ffd)
+    return seeds
+
+
+# ---------------------------------------------------------------------------
+# one VM and one PM template: dynamic program over the layout tree
+
+
+def _slots(demand: float, capacity: float, n_vms: int) -> int:
+    """Most VMs of `demand` that fit `capacity`, at most `n_vms`.  A hair
+    stricter than the placement check's 1e-9, so every packing it admits
+    passes that check."""
+    if demand <= 0:
+        return n_vms
+    k = min(n_vms, int(min(capacity / demand, n_vms)))
+    while k < n_vms and (k + 1) * demand <= capacity + 5e-10:
+        k += 1
+    while k > 0 and k * demand > capacity + 5e-10:
+        k -= 1
+    return k
+
+
+def _slots_per_pm(dc: DatacenterState, ev: _FastEval, mig_model: C.MigrationCostModel) -> int | None:
+    """VM slots of every PM if `dc` is a fleet of one VM and one PM template, else None.
+
+    One template means equal VM demands and memory, equal PM capacities and
+    load slopes, a migration layout on `dc`'s racks, and no PM holding more
+    VMs than its slots now.
+    """
+    if len({(v.cpu_demand, v.ram_demand, v.mem_gb) for v in dc.vms}) > 1:
+        return None
+    if len({(p.cpu_capacity, p.ram_capacity) for p in dc.pms}) > 1 or len(set(ev.slope.tolist())) > 1:
+        return None
+    # PM ids run rack by rack, and the migration layout is that of the racks
+    if ev.rack_of != sorted(ev.rack_of) or list(mig_model.rack_of) != ev.rack_of:
+        return None
+    if dc.n_vms == 0:
+        return 0
+    vm, pm = dc.vms[0], dc.pms[0]
+    k = min(_slots(vm.cpu_demand, pm.cpu_capacity, dc.n_vms),
+            _slots(vm.ram_demand, pm.ram_capacity, dc.n_vms))
+    return k if dc.current.pm_loads().max() <= k else None
+
+
+class _Tree:
+    """A node of the layout tree (PM < rack < pod < root), or a pair of a
+    node's children, as a table: cost[j] is the cheapest cost of keeping j
+    of its PMs on.  `own` is the node's own term, already in `cost`."""
+
+    __slots__ = ("cost", "own", "kids", "pm")
+
+    def __init__(self, cost: np.ndarray, own: np.ndarray | None = None, kids=(), pm: int = -1):
+        self.cost, self.own, self.kids, self.pm = cost, own, kids, pm
+
+
+def _minplus(a: np.ndarray, b: np.ndarray, size: int, meter: _Meter) -> np.ndarray:
+    """Min-plus convolution of two tables, cut at `size` entries."""
+    meter.spend(len(a) * len(b))
+    out = np.full(min(len(a) + len(b) - 1, size), np.inf)
+    for i, x in enumerate(a[:size]):
+        seg = b[:size - i]
+        np.minimum(out[i:i + len(seg)], x + seg, out=out[i:i + len(seg)])
+    return out
+
+
+def _pair(a: _Tree, b: _Tree, size: int, meter: _Meter) -> _Tree:
+    return _Tree(_minplus(a.cost, b.cost, size, meter), kids=(a, b))
+
+
+def _level(kids: list[_Tree], own, size: int, meter: _Meter) -> _Tree:
+    """A node over `kids`, combined pairwise as a balanced tree, plus its term `own(j)`."""
+    while len(kids) > 1:
+        kids = [_pair(*kids[i:i + 2], size, meter) if i + 1 < len(kids) else kids[i]
+                for i in range(0, len(kids), 2)]
+    term = own(np.arange(len(kids[0].cost)))
+    return _Tree(kids[0].cost + term, term, (kids[0],))
+
+
+def _choices(node: _Tree, j: int, budget: float):
+    """Yield (PMs, cost) for every way to keep `j` PMs of `node` on at cost <= budget."""
+    if node.pm >= 0:
+        if node.cost[j] <= budget:
+            yield ((node.pm,) if j else ()), node.cost[j]
+        return
+    own = 0.0 if node.own is None else node.own[j]
+    if len(node.kids) == 1:
+        for pms, cost in _choices(node.kids[0], j, budget - own):
+            yield pms, cost + own
+        return
+    a, b = node.kids
+    for ja in range(max(0, j - len(b.cost) + 1), min(j, len(a.cost) - 1) + 1):
+        rest = b.cost[j - ja]
+        if own + a.cost[ja] + rest > budget:
+            continue
+        for pa, ca in _choices(a, ja, budget - own - rest):
+            for pb, cb in _choices(b, j - ja, budget - own - ca):
+                yield pa + pb, own + ca + cb
+
+
+class _TemplateDP:
+    """Exact solver for a fleet of one VM and one PM template.
+
+    Every VM costs the same load energy on any PM, and m = ene_scale x kappa
+    x mem_gb per hop it migrates.  Hops are a tree metric, so the cheapest
+    way to move the VMs off the PMs turned off, with k slots per PM kept on,
+    costs m x the sum over every PM, rack and pod d of max(0, n_d - k x J_d):
+    n_d VMs on d now, J_d PMs of d kept on (tree transport; Evans & Matsen,
+    JRSS-B 74, 2012).  A PM kept on keeps its VMs.  The objective of an open
+    set is then a constant (K and the load energy) plus a sum of per-PM,
+    per-rack and per-pod terms, so a min-plus dynamic program over the
+    layout tree gives the optimum z*.
+
+    The tie pass walks the open sets that reach z* (within TIE_EPS) lazily,
+    places each one's VMs greedily in id order, and keeps the
+    lexicographically smallest placement, as brute force does.  When
+    migration is free (m = 0) no walk is needed; see `_solve_free`.
+    """
+
+    def __init__(self, dc: DatacenterState, ev: _FastEval, mig_model: C.MigrationCostModel,
+                 k: int):
+        self.ev, self.k, self.n_vms = ev, k, dc.n_vms
+        # objective cost of one VM-hop, as in the cost table's migration energy
+        self.m = ev.ene_scale * (mig_model.kappa * dc.vms[0].mem_gb) if dc.n_vms else 0.0
+        self.prev = dc.current.hosts().tolist()
+        self.loads = dc.current.pm_loads().tolist()
+        self.rack_of = ev.rack_of
+        self.pod_of_rack = list(mig_model.pod_of_rack)
+        self.rack_loads = np.bincount(dc.rack_of()[self.prev], minlength=dc.n_racks).tolist()
+        self.best: list[int] | None = None
+
+    def _tree(self, meter: _Meter) -> _Tree:
+        m, k, size = self.m, self.k, self.n_vms + 1
+        racks: dict[int, list[_Tree]] = {}
+        for p, n in enumerate(self.loads):
+            leaf = _Tree(np.array([m * n, self.ev.B[p]])[:size], pm=p)
+            racks.setdefault(self.rack_of[p], []).append(leaf)
+        pods: dict[int, list[_Tree]] = {}
+        for r in sorted(racks):
+            n, R = self.rack_loads[r], self.ev.R[r]
+            own = lambda j, n=n, R=R: np.where(j > 0, R, 0.0) + m * np.maximum(0, n - k * j)
+            pods.setdefault(self.pod_of_rack[r], []).append(_level(racks[r], own, size, meter))
+        pod_trees = []
+        for d in sorted(pods):
+            n = sum(self.rack_loads[r] for r in racks if self.pod_of_rack[r] == d)
+            own = lambda j, n=n: m * np.maximum(0, n - k * j)
+            pod_trees.append(_level(pods[d], own, size, meter))
+        # the open PMs must hold every VM
+        return _level(pod_trees, lambda j: np.where(k * j >= self.n_vms, 0.0, np.inf), size, meter)
+
+    def solve(self, meter: _Meter) -> None:
+        """Leave the lexicographically smallest optimal placement in `best`.
+        Raises `_Budget` if the meter runs out first; `best` then holds the
+        smallest optimum found so far, or None."""
+        if self.m == 0:
+            return self._solve_free(meter)
+        root = self._tree(meter)
+        z = root.cost.min()  # finite: the status quo's open set is a candidate
+        for j in np.flatnonzero(root.cost <= z + TIE_EPS).tolist():
+            for pms, _ in _choices(root, j, z + TIE_EPS):
+                meter.spend(len(pms))
+                hosts = self._move(sorted(pms), meter)
+                if hosts is not None:
+                    self.best = hosts
+
+    def _cheapest(self, pms: list[int], r: int, rack_on: bool) -> np.ndarray:
+        """[j] cheapest cost of keeping j more of `pms`, PMs of rack r, on."""
+        table = np.concatenate(([0.0], np.cumsum(sorted(self.ev.B[p] for p in pms))))
+        if not rack_on:
+            table[1:] += self.ev.R[r]
+        return table
+
+    def _solve_free(self, meter: _Meter) -> None:
+        """Migration is free (m = 0), so the pod and excess terms vanish: an
+        open set costs its PMs' B and its racks' R.  The racks' tables,
+        convolved in id order, price every size J.  All placements of one
+        size fill the same number of slots in the same pattern, so the
+        lexicographically first tied set of that size gives its smallest
+        placement; it is built PM by PM, each kept on if the cheapest
+        completion still reaches z*.  Needs PM ids to run rack by rack.
+        """
+        size, rack_of = self.n_vms + 1, self.rack_of
+        racks = [list(g) for _, g in itertools.groupby(range(len(rack_of)), rack_of.__getitem__)]
+        # suffix[i][j]: cheapest j PMs of racks[i:]
+        suffix = [np.zeros(1)]
+        for pms in reversed(racks):
+            suffix.append(_minplus(self._cheapest(pms, rack_of[pms[0]], False), suffix[-1],
+                                   size, meter))
+        suffix.reverse()
+        counts = np.arange(len(suffix[0]))
+        root = np.where(self.k * counts >= self.n_vms, suffix[0], np.inf)
+        limit = root.min() + TIE_EPS
+        for j in np.flatnonzero(root <= limit).tolist():
+            chosen, cost = [], 0.0
+            for i, pms in enumerate(racks):
+                r, tail = rack_of[pms[0]], suffix[i + 1]
+                for n, p in enumerate(pms):
+                    need = j - len(chosen) - 1
+                    if need < 0:
+                        break
+                    rack_on = bool(chosen) and rack_of[chosen[-1]] == r
+                    rest = self._cheapest(pms[n + 1:], r, True)
+                    lo, hi = max(0, need - len(tail) + 1), min(need, len(rest) - 1)
+                    meter.spend(max(1, hi - lo + 1))
+                    here = cost + self.ev.B[p] + (0.0 if rack_on else self.ev.R[r])
+                    after = min((rest[t] + tail[need - t] for t in range(lo, hi + 1)), default=np.inf)
+                    if here + after <= limit:
+                        chosen.append(p)
+                        cost = here
+            if len(chosen) == j:  # short only if rounding hid the set
+                hosts = self._fill(chosen, meter)
+                if hosts is not None:
+                    self.best = hosts
+
+    def _fill(self, opened: list[int], meter: _Meter) -> list[int] | None:
+        """Migration is free: fill the open PMs in id order, none left empty.
+        None unless lexicographically smaller than `best`."""
+        best, k, n_v = self.best, self.k, self.n_vms
+        meter.spend(n_v)
+        tied = best is not None
+        hosts, i, load, empty = [], 0, 0, len(opened)
+        for v in range(n_v):
+            if load == k or (load and empty >= n_v - v):
+                i, load = i + 1, 0
+            if not load:
+                empty -= 1
+            load += 1
+            host = opened[i]
+            if tied and host != best[v]:
+                if host > best[v]:
+                    return None
+                tied = False
+            hosts.append(host)
+        return None if tied else hosts
+
+    def _move(self, opened: list[int], meter: _Meter) -> list[int] | None:
+        """VMs on open PMs stay; each other VM, in id order, takes the smallest
+        open PM that keeps the migration minimal.  None unless
+        lexicographically smaller than `best`.
+
+        Minimal means each rack and each pod keeps min(movers, spare slots)
+        of its own movers (VMs on its PMs turned off).  Counters per rack and
+        pod track how many of those must still land inside it, so a host is
+        checked in O(1).
+        """
+        best, k, rack_of, pod_of = self.best, self.k, self.rack_of, self.pod_of_rack
+        loads, prev = self.loads, self.prev
+        movers_r = self.rack_loads[:]
+        spare_r = [0] * len(movers_r)
+        spare = {}
+        is_open = set(opened)
+        for q in opened:
+            r = rack_of[q]
+            movers_r[r] -= loads[q]
+            spare_r[r] += k - loads[q]
+            spare[q] = k - loads[q]
+        need_r = [min(a, b) for a, b in zip(movers_r, spare_r)]
+        n_pods = max(pod_of) + 1
+        movers_d, spare_d, need_rd = [0] * n_pods, [0] * n_pods, [0] * n_pods
+        for r, d in enumerate(pod_of):
+            movers_d[d] += movers_r[r]
+            spare_d[d] += spare_r[r]
+            need_rd[d] += need_r[r]
+        need_d = [min(a, b) for a, b in zip(movers_d, spare_d)]
+        avail = [q for q in opened if spare[q]]
+        tied = best is not None
+        hosts = []
+        for v, h in enumerate(prev):
+            if h in is_open:
+                meter.spend(1)
+                host = h
+            else:
+                r, d = rack_of[h], pod_of[rack_of[h]]
+                checks = 0
+                for host in avail:
+                    checks += 1
+                    if tied and host > best[v]:
+                        meter.spend(checks)
+                        return None
+                    rq = rack_of[host]
+                    dq = pod_of[rq]
+                    if rq == r:
+                        ok = need_r[r] > 0
+                    elif movers_r[r] == need_r[r] or spare_r[rq] == need_r[rq]:
+                        ok = False
+                    elif dq == d:
+                        ok = need_d[d] > need_rd[d]
+                    else:
+                        ok = movers_d[d] > need_d[d] and spare_d[dq] > need_d[dq]
+                    if ok:
                         break
                 else:
-                    break
-            else:
-                cands.setdefault(tuple(hosts))
-    return [np.array(h, dtype=int) for h in cands]
+                    raise AssertionError("tie pass found no host for a migrating VM")
+                meter.spend(checks)
+                movers_r[r] -= 1
+                movers_d[d] -= 1
+                spare_r[rq] -= 1
+                spare_d[dq] -= 1
+                if rq == r:
+                    need_r[r] -= 1
+                    need_rd[d] -= 1
+                if dq == d:
+                    need_d[d] -= 1
+                spare[host] -= 1
+                if not spare[host]:
+                    avail.remove(host)
+            if tied and host != best[v]:
+                if host > best[v]:
+                    return None
+                tied = False
+            hosts.append(host)
+        return None if tied else hosts
 
 
-def _local_search(hosts: np.ndarray, ev: _FastEval) -> np.ndarray:
-    """Greedy descent over single-PM shutdown moves, each priced by its delta."""
-    cpu, ram = ev.cpu.tolist(), ev.ram.tolist()
-    A, B, R, rack_of = ev.A, ev.B, ev.R, ev.rack_of
-    best = ev.objective(hosts)
-    hosts = np.asarray(hosts).tolist()
-    for _ in range(ev.n_pms):
-        best_move = None
-        counts = np.bincount(hosts, minlength=ev.n_pms).tolist()
-        cpu_left = (ev.cpu_cap - np.bincount(hosts, weights=ev.cpu, minlength=ev.n_pms)).tolist()
-        ram_left = (ev.ram_cap - np.bincount(hosts, weights=ev.ram, minlength=ev.n_pms)).tolist()
-        rack_open = [0] * len(R)
-        members = [[] for _ in range(ev.n_pms)]
-        for p, n in enumerate(counts):
-            if n:
-                rack_open[rack_of[p]] += 1
-        for v in ev.vm_order:  # each PM's VMs by decreasing CPU demand
-            members[hosts[v]].append(v)
-        for victim, vms in enumerate(members):
-            if not vms:
-                continue
-            cpu_rem, ram_rem = cpu_left[:], ram_left[:]
-            # closing the victim drops its open cost, and its rack's if it is
-            # the rack's last active PM
-            delta = -B[victim] - (R[rack_of[victim]] if rack_open[rack_of[victim]] == 1 else 0.0)
-            # evictees may only land on PMs that stay active; opening a new PM
-            # is never part of a shutdown move
-            choices = [p for p in ev.near[victim] if counts[p] and p != victim]
-            moves = []
-            for v in vms:
-                c, r = cpu[v], ram[v]
-                for p in choices:
-                    if c <= cpu_rem[p] + 1e-9 and r <= ram_rem[p] + 1e-9:
-                        moves.append((v, p))
-                        cpu_rem[p] -= c
-                        ram_rem[p] -= r
-                        delta += A[v][p] - A[v][victim]
-                        break
-                else:
-                    break
-            else:
-                obj = best + delta
-                if obj < best - TIE_EPS and (best_move is None or obj < best_move[0] - TIE_EPS):
-                    best_move = (obj, moves)
-        if best_move is None:
-            break
-        best, moves = best_move
-        for v, p in moves:
-            hosts[v] = p
-    return np.array(hosts, dtype=int)
-
-
-class _Budget(Exception):
-    pass
+# ---------------------------------------------------------------------------
+# any other instance: branch-and-bound over VM hosts
 
 
 class _BranchAndBound:
@@ -405,25 +672,43 @@ def solve_exact(
     mig_model: C.MigrationCostModel,
     time_cap: float = 300.0,
 ) -> SolveResult:
-    """Branch-and-bound with deterministic effort capping.
+    """Exact solve with deterministic effort capping.
 
-    Within the cap the result is globally optimal with the lexicographically
-    smallest assignment among ties; past the cap the best incumbent is
-    returned and labeled as such.
+    The cap buys `time_cap x NODES_PER_SECOND` work units.  A fleet of one
+    VM and one PM template goes to the layout-tree dynamic program: its
+    min-plus pairs, and its tie pass's host checks and the PMs of each open
+    set it walks, are the units.  Any other instance goes to the
+    branch-and-bound: its nodes are the units.
+
+    "optimal": the result is a global optimum, the lexicographically smallest
+    assignment among ties.  "time-capped": the budget ran out.  The template
+    path then returns the smallest optimum its tie pass found, or, if it
+    found none or the program itself was cut, the better of the status quo
+    and first-fit-decreasing.  The branch-and-bound returns its incumbent.
     """
     if not 0 < time_cap < float("inf"):
         raise ValueError("time_cap must be positive and finite")
     t0 = time.perf_counter()
     ev = _FastEval(dc, weights, params, mig_model)
-    # a cap too large to count in nodes leaves the search unbounded
-    bnb = _BranchAndBound(dc, ev, max(1, int(min(time_cap * NODES_PER_SECOND, 2.0**63))))
-    # seed each distinct descent once; a start it moved from is worse by > TIE_EPS, so cannot win
-    descents = dict.fromkeys(tuple(_local_search(h, ev)) for h in _candidate_placements(dc, ev))
-    for hosts in descents:
-        bnb.seed(np.array(hosts, dtype=int), ev.objective(hosts))
-    bnb.run()
-    if bnb.best_hosts is None:
-        raise C.InfeasibleError("no feasible assignment exists")
-    proof = "optimal" if bnb.complete else "time-capped"
-    return _result(bnb.best_hosts, dc, weights, params, mig_model, bnb.nodes, proof,
+    # a cap too large to count in units leaves the solve unbounded
+    budget = max(1, int(min(time_cap * NODES_PER_SECOND, 2.0**63)))
+    k = _slots_per_pm(dc, ev, mig_model)
+    if k is not None:
+        meter = _Meter(budget)
+        dp = _TemplateDP(dc, ev, mig_model, k)
+        try:
+            dp.solve(meter)
+            complete = True
+        except _Budget:
+            complete = False
+        hosts = dp.best if dp.best is not None else min(_seeds(dc), key=ev.objective)
+        nodes = meter.used
+    else:
+        bnb = _BranchAndBound(dc, ev, budget)
+        for seed in _seeds(dc):
+            bnb.seed(seed, ev.objective(seed))
+        bnb.run()
+        hosts, nodes, complete = bnb.best_hosts, bnb.nodes, bnb.complete
+    proof = "optimal" if complete else "time-capped"
+    return _result(np.asarray(hosts, dtype=int), dc, weights, params, mig_model, nodes, proof,
                    time.perf_counter() - t0)

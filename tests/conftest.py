@@ -108,6 +108,40 @@ def random_tiny_instance(rng: np.random.Generator):
         return state, weights, params, mig
 
 
+def random_template_instance(rng: np.random.Generator, max_assignments: int = 50_000):
+    """Random fleet of one VM and one PM template, small enough for brute force.
+
+    1-3 racks of 1-3 PMs in 1-3 pods, disk counters spread at random or dealt
+    from three tiers, and one time in five alpha = 0 or kappa = 0 (free
+    migration).  Returns (state, weights, params, migration model).
+    """
+    while True:
+        layout = rng.integers(1, 4, size=int(rng.integers(1, 4))).tolist()
+        n_pms, n_vms = sum(layout), int(rng.integers(1, 8))
+        cpu = float(rng.choice([300.0, 500.0, 700.0, 1000.0]))
+        slots = int(2000.0 // cpu)
+        if slots * n_pms >= n_vms and n_pms**n_vms <= max_assignments:
+            break
+    loads, hosts = [0] * n_pms, []
+    for _ in range(n_vms):
+        p = int(rng.choice([q for q in range(n_pms) if loads[q] < slots]))
+        loads[p] += 1
+        hosts.append(p)
+    if rng.random() < 0.5:
+        cycle_counts = rng.integers(0, 1500, n_pms).tolist()
+    else:
+        cycle_counts = rng.choice([100, 140, 600], n_pms).tolist()
+    state = build_state(layout, [(cpu, 612.0, 0.612)] * n_vms, hosts, cycle_counts=cycle_counts)
+    weights = C.CostWeights(
+        alpha=0.0 if rng.random() < 0.2 else round(float(rng.uniform(0, 1)), 3),
+        beta=round(float(rng.uniform(0, 1)), 3),
+        gamma=round(float(rng.uniform(0, 1)), 3),
+    )
+    kappa = 0.0 if rng.random() < 0.2 else round(float(rng.uniform(0, 200)), 2)
+    mig = C.MigrationCostModel.from_layout(state, kappa=kappa, n_pods=int(rng.integers(1, 4)))
+    return state, weights, C.ReliabilityParams(), mig
+
+
 def _random_feasible_hosts(rng, vm_demands, cpu_caps, ram_caps):
     n_pms = len(cpu_caps)
     for _ in range(50):

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from relpack import cli
+from relpack import solver as S
 
 import lp_oracle
 
@@ -67,6 +68,8 @@ _PARSE_ERRORS = [
     (_CAPPED + "reliability: {hours_per_year: 1.0e308}\n", "c_rel_ub overflows"),
     (_CAPPED + "racks: {tor_power: 1.0e308}\n", "c_ene_ub overflows"),
     (_CAPPED + "racks: {cooling_power: 1.0e308}\n", "c_ene_ub overflows"),
+    ("solver: {kind: greedy}\nweights: {tau: 1.0e308}\n", "c_ene_ub overflows"),
+    ("solver: {kind: greedy}\npm: {p_max: 1.0e308}\n", "c_ene_ub overflows"),
     # too large to build
     ("racks: {count: 1000000000000}\n", "VM-to-PM cells"),
     ("vms: {count: 1000000000000}\n", "VM-to-PM cells"),
@@ -82,7 +85,8 @@ _PARSE_ERROR_IDS = [
     "negative-tor-power", "negative-cooling-power", "fractional-seed", "bool-rack-count",
     "cpu-cycle-cost-overflow", "tau-overflow", "p-max-overflow", "p-max-overflow-long-slot",
     "omega-overflow", "mem-gb-overflow", "hours-per-year-overflow", "tor-power-overflow",
-    "cooling-power-overflow", "huge-rack-count", "huge-vm-count",
+    "cooling-power-overflow", "greedy-tau-overflow", "greedy-p-max-overflow",
+    "huge-rack-count", "huge-vm-count",
 ]
 
 
@@ -182,11 +186,20 @@ class TestSolve:
         path = tmp_path / "big.yaml"
         path.write_text("racks: {count: 4, pms_per_rack: 4}\nvms: {count: 25}\n")
         out = tmp_path / "out"
+        one_unit = str(1 / S.NODES_PER_SECOND)  # too little for any solve to finish
         code = cli.main([
-            "solve", "--scenario", str(path), "--out", str(out), "--time-cap", "0.001",
+            "solve", "--scenario", str(path), "--out", str(out), "--time-cap", one_unit,
         ])
         assert code == cli.EXIT_TIME_CAP
         assert (out / "report.csv").exists()  # incumbent still reported
+
+    def test_1200_vms_end_in_an_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "fleet.yaml"
+        path.write_text("racks: {count: 80, pms_per_rack: 4}\nvms: {count: 1200}\n"
+                        "solver: {time_cap: 0.05}\n")
+        code = cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code in (cli.EXIT_OK, cli.EXIT_TIME_CAP)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_seed_override_changes_result(self, small_scenario_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,15 +1,16 @@
-"""Solver tests: brute force vs branch-and-bound, determinism, budgets."""
+"""Solver tests: brute force vs both exact paths, determinism, budgets."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from relpack import cli, sim
+from relpack import cli, milp, sim
 from relpack import costs as C
 from relpack import solver as S
 from relpack.domain import Placement, validate_placement
 
-from conftest import build_state, template_fleet_state, random_tiny_instance
+import lp_oracle
+from conftest import build_state, random_template_instance, random_tiny_instance, template_fleet_state
 
 
 def _setup(state, kappa=10.0, weights=None):
@@ -66,7 +67,7 @@ class TestBudget:
     def test_node_budget_respected(self):
         state = template_fleet_state([v % 8 for v in range(13)], n_racks=2, pms_per_rack=4)
         weights, params, mig = _setup(state)
-        cap = 0.01  # 200 nodes
+        cap = 1 / S.NODES_PER_SECOND  # 1 unit, too little for any solve to finish
         res = S.solve_exact(state, weights, params, mig, time_cap=cap)
         assert res.nodes_explored <= int(cap * S.NODES_PER_SECOND) + 1
         assert res.proof == "time-capped"
@@ -135,8 +136,9 @@ class TestFastEval:
 
 
 class TestSearchPins:
-    """Node counts, proof and placement of two capped solves, fixed so that a
-    change to the evaluation or bookkeeping cannot silently change the search."""
+    """Work units, proof and placement of two template-fleet solves, fixed so
+    that a change to the evaluation or bookkeeping cannot silently change
+    the result."""
 
     @staticmethod
     def _solve(scenario, seed):
@@ -146,42 +148,96 @@ class TestSearchPins:
 
     def test_weights_table_energy_heavy(self):
         res = self._solve(cli.weights_table_scenario(1.0, 0.2, 1.0, time_cap=0.1), 0)
-        assert (res.nodes_explored, res.proof) == (2001, "time-capped")
+        assert (res.nodes_explored, res.proof) == (783, "optimal")
         assert res.placement.hosts().tolist() == [
-            2, 25, 2, 6, 6, 20, 25, 20, 21, 6, 24, 2, 7, 1, 24, 14, 21, 12, 12, 24, 29,
-            21, 20, 12, 1, 21, 29, 28, 25, 29, 30, 30, 28, 14, 25, 2, 7, 6, 1, 7, 7,
-            12, 24, 28, 30, 1, 29, 30, 28, 14, 14, 20
+            2, 24, 6, 6, 7, 20, 25, 20, 20, 6, 25, 2, 7, 1, 24, 12, 20, 12, 12, 24, 21,
+            21, 21, 12, 1, 21, 29, 28, 25, 29, 30, 30, 28, 14, 25, 2, 7, 6, 1, 2, 7,
+            14, 24, 28, 30, 1, 29, 29, 28, 14, 14, 30
         ]
 
     def test_default_fleet_64(self):
         scenario = sim.Scenario(n_racks=16, pms_per_rack=4, n_vms=104, time_cap=0.05)
         res = self._solve(scenario, 0)
-        assert (res.nodes_explored, res.proof) == (1001, "time-capped")
+        assert (res.nodes_explored, res.proof) == (2716, "optimal")
         assert res.placement.hosts().tolist() == [
-            11, 11, 62, 61, 4, 44, 52, 9, 63, 60, 44, 60, 44, 31, 44, 8, 59, 24, 62,
-            45, 45, 52, 53, 30, 62, 26, 62, 24, 55, 31, 46, 46, 4, 4, 4, 59, 27, 6, 28,
-            30, 9, 53, 45, 55, 30, 8, 46, 31, 63, 27, 45, 6, 31, 46, 6, 26, 47, 24, 11,
-            6, 57, 60, 47, 47, 47, 7, 30, 52, 61, 57, 7, 7, 7, 52, 56, 26, 53, 8, 63,
-            53, 59, 11, 56, 26, 8, 57, 57, 63, 60, 55, 59, 55, 61, 9, 9, 24, 56, 28,
-            61, 28, 56, 27, 27, 28
+            0, 0, 62, 61, 4, 44, 52, 0, 63, 60, 44, 60, 44, 31, 44, 1, 59, 0, 62, 45,
+            45, 52, 53, 29, 62, 2, 62, 3, 55, 31, 46, 46, 2, 4, 1, 59, 2, 6, 1, 30, 2,
+            53, 45, 55, 3, 3, 46, 3, 1, 4, 46, 5, 31, 47, 4, 5, 47, 6, 6, 6, 57, 60, 52,
+            53, 45, 7, 30, 53, 61, 57, 7, 5, 7, 55, 56, 28, 55, 5, 63, 56, 59, 28, 56,
+            29, 29, 47, 56, 57, 60, 57, 59, 47, 61, 29, 30, 30, 63, 28, 61, 28, 52, 31,
+            63, 7
         ]
 
 
-class TestCandidates:
-    @staticmethod
-    def _check(state, weights, params, mig):
-        ev = S._FastEval(state, weights, params, mig)
-        cands = [tuple(h) for h in S._candidate_placements(state, ev)]
-        assert cands[0] == tuple(state.current.hosts())
-        assert len(set(cands)) == len(cands)
+class TestTemplateProgram:
+    """The layout-tree program that solves fleets of one VM and one PM template."""
 
-    def test_status_quo_first_and_distinct(self, rng):
-        for _ in range(20):
-            self._check(*random_tiny_instance(rng))
-        scenario = sim.Scenario(n_racks=16, pms_per_rack=4, n_vms=104)
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, seed):
+        state, weights, params, mig = random_template_instance(np.random.default_rng(seed))
+        ev = S._FastEval(state, weights, params, mig)
+        assert S._slots_per_pm(state, ev, mig) is not None
+        bf = S.solve_bruteforce(state, weights, params, mig)
+        ex = S.solve_exact(state, weights, params, mig, time_cap=10.0)
+        assert ex.proof == "optimal"
+        assert ex.objective == pytest.approx(bf.objective, abs=1e-9)
+        assert ex.placement == bf.placement  # the same lexicographic tie-break
+
+    @pytest.mark.parametrize("n_racks, n_vms, alpha, kappa, seed", [
+        (2, 13, 1.0, 10.0, 0), (3, 20, 0.5, 30.0, 1), (4, 25, 0.0, 10.0, 2), (4, 24, 1.0, 0.0, 3),
+    ])
+    def test_matches_highs(self, n_racks, n_vms, alpha, kappa, seed):
+        scenario = sim.Scenario(n_racks=n_racks, pms_per_rack=4, n_vms=n_vms, kappa=kappa,
+                                cycle_count_spread=60,
+                                weights=C.CostWeights(alpha=alpha, beta=1.0, gamma=1.0))
+        state = sim.build_datacenter(scenario, seed)
+        mig = sim.migration_model(scenario, state)
+        res = S.solve_exact(state, scenario.weights, scenario.reliability, mig, time_cap=2.0)
+        assert res.proof == "optimal"
+        model = milp.build_model(state, scenario.weights, scenario.reliability, mig)
+        highs, _ = lp_oracle.solve_lp_text(milp.export_lp(model))
+        assert res.objective == pytest.approx(highs, abs=1e-6)
+
+    def test_free_migration_fleet_packs_to_the_floor(self):
+        # free migration and equal machines: a huge family of tied open sets,
+        # resolved without walking it
+        scenario = sim.Scenario(n_racks=32, pms_per_rack=4, n_vms=208, kappa=0.0, time_cap=0.1,
+                                weights=C.CostWeights(alpha=1.0, beta=0.0, gamma=0.0))
         state = sim.build_datacenter(scenario, 0)
-        self._check(state, scenario.weights, scenario.reliability,
-                    sim.migration_model(scenario, state))
+        _, report = sim.step(state, scenario)
+        assert report.proof == "optimal"
+        assert (report.active_pms, report.active_racks) == (C.packing_floor(state), 13)
+
+    def test_cut_program_returns_better_of_status_quo_and_greedy(self):
+        state = template_fleet_state([v % 8 for v in range(13)], n_racks=2, pms_per_rack=4)
+        weights, params, mig = _setup(state)
+        res = S.solve_exact(state, weights, params, mig, time_cap=1 / S.NODES_PER_SECOND)
+        assert (res.nodes_explored, res.proof) == (0, "time-capped")
+        ev = S._FastEval(state, weights, params, mig)
+        greedy = S.greedy_incumbent(state, weights, params, mig).placement.hosts()
+        want = min(ev.objective(state.current.hosts()), ev.objective(greedy))
+        assert ev.objective(res.placement.hosts()) == want
+
+    def test_cut_tie_pass_returns_an_optimum(self):
+        # two equal machines with one VM each: either one is optimal to keep
+        state = template_fleet_state([0, 1], n_racks=1, pms_per_rack=2)
+        weights, params, mig = _setup(state, weights=C.CostWeights(alpha=1.0, beta=0.0, gamma=0.0))
+        full = S.solve_exact(state, weights, params, mig, time_cap=1.0)
+        assert full.proof == "optimal"
+        cap = (full.nodes_explored - 1) / S.NODES_PER_SECOND
+        cut = S.solve_exact(state, weights, params, mig, time_cap=cap)
+        assert cut.proof == "time-capped"
+        assert cut.nodes_explored < full.nodes_explored
+        assert cut.objective == pytest.approx(full.objective, abs=1e-12)
+        assert tuple(cut.placement.hosts()) > tuple(full.placement.hosts())
+
+    def test_other_instances_take_the_search(self, rng):
+        for _ in range(10):
+            state, weights, params, mig = random_tiny_instance(rng)
+            ev = S._FastEval(state, weights, params, mig)
+            if state.n_pms > 1 and state.n_vms > 1:
+                assert S._slots_per_pm(state, ev, mig) is None
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -190,8 +246,10 @@ def test_incumbents_carry_their_objective(seed):
     """Every incumbent the B&B records, seeded or found at a leaf, is valued
     at `_FastEval.objective` of its placement.  Every offered placement is
     valid, none is seeded twice before the search starts, and a leaf is
-    offered only when it replaces the incumbent."""
+    offered only when it replaces the incumbent.  Draws of one VM and one PM
+    template go to the layout-tree program instead and are skipped."""
     state, weights, params, mig = random_tiny_instance(np.random.default_rng(seed))
+    assume(S._slots_per_pm(state, S._FastEval(state, weights, params, mig), mig) is None)
     gaps, seeded = [], []
     seed_fn = S._BranchAndBound.seed
 
