@@ -207,7 +207,7 @@ def _scaling_curves(out: Path, time_cap: float) -> int:
         mig = sim.migration_model(scenario, state)
         model = milp.build_model(state, scenario.weights, scenario.reliability, mig)
         stats = milp.model_stats(model)
-        report = sim.run(scenario, seed=0)[0]
+        _, report = sim.step(state, scenario)
         lines.append(
             f"{n_pms},{n_racks},{n_vms},{stats.n_binary},{stats.n_continuous},"
             f"{stats.n_constraints},{report.nodes_explored},{report.wall_time:.6g}"

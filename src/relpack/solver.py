@@ -9,18 +9,20 @@
 - Any other instance goes to a depth-first branch-and-bound over VM-to-PM
   assignments, seeded with the status quo and first-fit-decreasing.
 
-Both paths meter their work in deterministic units against a budget derived
-from the time cap at a fixed calibrated rate, so a given instance always does
-exactly the same work regardless of wall clock or host speed.  On either
-path `optimal` is a proof and `time-capped` means the budget ran out first;
-`solve_exact` says what each path returns then.  `solve_bruteforce` is the
-enumeration oracle.
+Both paths read the objective's terms from `_Terms` and spend deterministic
+work units on one `_Meter`, whose budget is derived from the time cap at a
+fixed calibrated rate, so a given instance always does exactly the same work,
+never more than the budget, regardless of wall clock or host speed.  On
+either path `optimal` is a proof and `time-capped` means the budget ran out
+first; `solve_exact` says what each path returns then.  `solve_bruteforce`
+is the enumeration oracle.
 """
 from __future__ import annotations
 
 import itertools
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,59 +53,61 @@ class SolveResult:
     clock_seconds: float = 0.0  # measured, informational only
 
 
-class _FastEval:
-    """Per-solve cost table of a fixed instance.
+class _Terms:
+    """The objective of one instance as per-VM, per-PM and per-rack terms.
 
     The objective is linear in the assignment, PM, rack and transition
     variables, so for a complete assignment `hosts`
 
         objective = K + sum_v A[v][hosts[v]] + sum_{open p} B[p] + sum_{open r} R[r]
 
-    where `A` is the load-proportional and migration energy of a VM on a PM,
-    `B` the cost of keeping a PM on (idle energy, minus the shutdown cost it
-    avoids and the rest credit it forgoes), `R` the energy of an active rack,
-    and `K` the objective of a fully dark fleet.  All four are derived from
-    `costs.cost_table`, the coefficients the MILP is written from.  Matches
-    `costs.objective` up to float summation order; the authoritative value
-    reported in a SolveResult is always recomputed through `costs`.  The
-    tables are Python lists because the search loops index them one scalar
-    at a time.
+    where `A` is the load-proportional and migration energy of a VM on a PM
+    (`energy`), `B` the cost of keeping a PM on (idle energy, minus the
+    shutdown cost it avoids and the rest credit it forgoes), `R` the energy
+    of an active rack, and `K` the objective of a fully dark fleet.  All four
+    are derived here from `costs.cost_table`, the coefficients the MILP is
+    written from.  B and R are Python lists because the exact paths index
+    them one scalar at a time; only the searches that enumerate assignments
+    build all of A.
     """
 
     def __init__(self, dc: DatacenterState, weights: C.CostWeights,
                  params: C.ReliabilityParams, mig_model: C.MigrationCostModel):
-        self.n_pms = dc.n_pms
+        self.table = table = C.cost_table(dc, weights, params, mig_model)
         self.cpu = dc.demands("cpu")
-        self.ram = dc.demands("ram")
-        self.cpu_cap = dc.capacities("cpu")
-        self.ram_cap = dc.capacities("ram")
         self.rack_of = dc.rack_of().tolist()
-        self.online_prev = dc.online_now()
-        self.vm_order = sorted(range(dc.n_vms), key=lambda v: (-self.cpu[v], v))
-        t = C.cost_table(dc, weights, params, mig_model)
-        self.slope = t.slope_wh
-        self.ene_scale = t.ene_scale
-        shut = t.rel_scale * t.shut
-        self.shut = shut.tolist()  # shutdown cost of each PM, 0 if it is dark now
-        self.shut_total = float(shut.sum())
-        self.A = (t.ene_scale * (t.slope_wh[None, :] * self.cpu[:, None] + t.mig_wh)).tolist()
-        self.B = (t.ene_scale * t.idle_wh - shut + t.gain).tolist()
-        self.R = (t.ene_scale * t.rack_wh).tolist()
-        self.K = self.shut_total - t.gain * dc.n_pms
-        # fluid[d]: cheapest load energy of the VMs vm_order[d:], any host
-        fluid = (t.slope_wh.min() if dc.n_pms else 0.0) * self.cpu[self.vm_order]
-        self.fluid = (t.ene_scale * np.append(np.cumsum(fluid[::-1])[::-1], 0.0)).tolist()
+        self.shut = table.rel_scale * table.shut  # shutdown cost of each PM, 0 if it is dark now
+        self.B = (table.ene_scale * table.idle_wh - self.shut + table.gain).tolist()
+        self.R = (table.ene_scale * table.rack_wh).tolist()
+        self.K = float(self.shut.sum()) - table.gain * dc.n_pms
 
-    def objective(self, hosts) -> float:
-        """Sum the table in `vm_order`, the order the search carries its total."""
-        hosts = np.asarray(hosts).tolist()
-        A, B, R, rack_of = self.A, self.B, self.R, self.rack_of
-        pm_open = [False] * self.n_pms
+    @cached_property
+    def vm_order(self) -> list[int]:
+        """The branch-and-bound's placing order, which `value` sums in."""
+        return _by_cpu(self.cpu)
+
+    def energy(self, vms: np.ndarray, pms: np.ndarray) -> np.ndarray:
+        """A[v][p] for index arrays `vms` and `pms` that broadcast together."""
+        t = self.table
+        return t.ene_scale * (t.slope_wh[pms] * self.cpu[vms] + t.mig_wh[vms, pms])
+
+    def value(self, hosts, A: list[list[float]] | None = None) -> float:
+        """Objective of a complete assignment, summed in `vm_order` as the
+        branch-and-bound carries its total.  Reads the full table `A` if the
+        caller holds it, else computes the V entries it needs.  Matches
+        `costs.objective` up to float summation order; the value reported in
+        a SolveResult is always recomputed through `costs`."""
+        hosts = np.asarray(hosts, dtype=int)
+        a = (self.energy(np.arange(len(hosts)), hosts).tolist() if A is None
+             else [A[v][p] for v, p in enumerate(hosts.tolist())])
+        hosts = hosts.tolist()
+        B, R, rack_of = self.B, self.R, self.rack_of
+        pm_open = [False] * len(B)
         rack_open = [False] * len(R)
         cost = self.K
         for v in self.vm_order:
             p = hosts[v]
-            cost += A[v][p]
+            cost += a[v]
             if not pm_open[p]:
                 pm_open[p] = True
                 cost += B[p]
@@ -168,32 +172,34 @@ def solve_bruteforce(
     n_v, n_p = dc.n_vms, dc.n_pms
     if n_p**n_v > BRUTE_FORCE_LIMIT:
         raise ValueError(f"instance too large for enumeration: {n_p}^{n_v} assignments")
-    ev = _FastEval(dc, weights, params, mig_model)
+    terms = _Terms(dc, weights, params, mig_model)
+    A = terms.energy(np.arange(n_v)[:, None], np.arange(n_p)).tolist()
+    cpu, ram = terms.cpu, dc.demands("ram")
     hosts = np.zeros(n_v, dtype=int)
     best_hosts: np.ndarray | None = None
     best = float("inf")
     nodes = 0
-    cpu_rem = ev.cpu_cap.copy()
-    ram_rem = ev.ram_cap.copy()
+    cpu_rem = dc.capacities("cpu")
+    ram_rem = dc.capacities("ram")
     t0 = time.perf_counter()
 
     def recurse(v: int):
         nonlocal best, best_hosts, nodes
         nodes += 1
         if v == n_v:
-            obj = ev.objective(hosts)
+            obj = terms.value(hosts, A)
             if obj < best - TIE_EPS:
                 best = obj
                 best_hosts = hosts.copy()
             return
         for p in range(n_p):
-            if ev.cpu[v] <= cpu_rem[p] + 1e-9 and ev.ram[v] <= ram_rem[p] + 1e-9:
+            if cpu[v] <= cpu_rem[p] + 1e-9 and ram[v] <= ram_rem[p] + 1e-9:
                 hosts[v] = p
-                cpu_rem[p] -= ev.cpu[v]
-                ram_rem[p] -= ev.ram[v]
+                cpu_rem[p] -= cpu[v]
+                ram_rem[p] -= ram[v]
                 recurse(v + 1)
-                cpu_rem[p] += ev.cpu[v]
-                ram_rem[p] += ev.ram[v]
+                cpu_rem[p] += cpu[v]
+                ram_rem[p] += ram[v]
 
     recurse(0)
     if best_hosts is None:
@@ -206,6 +212,11 @@ def solve_bruteforce(
 # greedy
 
 
+def _by_cpu(cpu: np.ndarray) -> list[int]:
+    """VM ids by decreasing CPU demand, then id."""
+    return sorted(range(len(cpu)), key=lambda v: (-cpu[v], v))
+
+
 def _first_fit_decreasing(dc: DatacenterState) -> np.ndarray | None:
     """First-fit-decreasing on CPU demand, currently-online PMs first; None if it fails."""
     cpu, ram = dc.demands("cpu"), dc.demands("ram")
@@ -213,7 +224,7 @@ def _first_fit_decreasing(dc: DatacenterState) -> np.ndarray | None:
     online = dc.online_now()
     pm_order = sorted(range(dc.n_pms), key=lambda p: (0 if online[p] else 1, p))
     hosts = np.full(dc.n_vms, -1, dtype=int)
-    for v in sorted(range(dc.n_vms), key=lambda v: (-cpu[v], v)):
+    for v in _by_cpu(cpu):
         for p in pm_order:
             if cpu[v] <= cpu_rem[p] + 1e-9 and ram[v] <= ram_rem[p] + 1e-9:
                 hosts[v] = p
@@ -267,7 +278,7 @@ def _slots(demand: float, capacity: float, n_vms: int) -> int:
     return k
 
 
-def _slots_per_pm(dc: DatacenterState, ev: _FastEval, mig_model: C.MigrationCostModel) -> int | None:
+def _slots_per_pm(dc: DatacenterState, terms: _Terms, mig_model: C.MigrationCostModel) -> int | None:
     """VM slots of every PM if `dc` is a fleet of one VM and one PM template, else None.
 
     One template means equal VM demands and memory, equal PM capacities and
@@ -276,10 +287,10 @@ def _slots_per_pm(dc: DatacenterState, ev: _FastEval, mig_model: C.MigrationCost
     """
     if len({(v.cpu_demand, v.ram_demand, v.mem_gb) for v in dc.vms}) > 1:
         return None
-    if len({(p.cpu_capacity, p.ram_capacity) for p in dc.pms}) > 1 or len(set(ev.slope.tolist())) > 1:
+    if len({(p.cpu_capacity, p.ram_capacity) for p in dc.pms}) > 1 or len(set(terms.table.slope_wh.tolist())) > 1:
         return None
     # PM ids run rack by rack, and the migration layout is that of the racks
-    if ev.rack_of != sorted(ev.rack_of) or list(mig_model.rack_of) != ev.rack_of:
+    if terms.rack_of != sorted(terms.rack_of) or list(mig_model.rack_of) != terms.rack_of:
         return None
     if dc.n_vms == 0:
         return 0
@@ -363,27 +374,27 @@ class _TemplateDP:
     migration is free (m = 0) no walk is needed; see `_solve_free`.
     """
 
-    def __init__(self, dc: DatacenterState, ev: _FastEval, mig_model: C.MigrationCostModel,
+    def __init__(self, dc: DatacenterState, terms: _Terms, mig_model: C.MigrationCostModel,
                  k: int):
-        self.ev, self.k, self.n_vms = ev, k, dc.n_vms
+        self.B, self.R, self.k, self.n_vms = terms.B, terms.R, k, dc.n_vms
         # objective cost of one VM-hop, as in the cost table's migration energy
-        self.m = ev.ene_scale * (mig_model.kappa * dc.vms[0].mem_gb) if dc.n_vms else 0.0
+        self.m = terms.table.ene_scale * (mig_model.kappa * dc.vms[0].mem_gb) if dc.n_vms else 0.0
         self.prev = dc.current.hosts().tolist()
         self.loads = dc.current.pm_loads().tolist()
-        self.rack_of = ev.rack_of
+        self.rack_of = terms.rack_of
         self.pod_of_rack = list(mig_model.pod_of_rack)
         self.rack_loads = np.bincount(dc.rack_of()[self.prev], minlength=dc.n_racks).tolist()
-        self.best: list[int] | None = None
+        self.best_hosts: list[int] | None = None
 
     def _tree(self, meter: _Meter) -> _Tree:
         m, k, size = self.m, self.k, self.n_vms + 1
         racks: dict[int, list[_Tree]] = {}
         for p, n in enumerate(self.loads):
-            leaf = _Tree(np.array([m * n, self.ev.B[p]])[:size], pm=p)
+            leaf = _Tree(np.array([m * n, self.B[p]])[:size], pm=p)
             racks.setdefault(self.rack_of[p], []).append(leaf)
         pods: dict[int, list[_Tree]] = {}
         for r in sorted(racks):
-            n, R = self.rack_loads[r], self.ev.R[r]
+            n, R = self.rack_loads[r], self.R[r]
             own = lambda j, n=n, R=R: np.where(j > 0, R, 0.0) + m * np.maximum(0, n - k * j)
             pods.setdefault(self.pod_of_rack[r], []).append(_level(racks[r], own, size, meter))
         pod_trees = []
@@ -395,9 +406,9 @@ class _TemplateDP:
         return _level(pod_trees, lambda j: np.where(k * j >= self.n_vms, 0.0, np.inf), size, meter)
 
     def solve(self, meter: _Meter) -> None:
-        """Leave the lexicographically smallest optimal placement in `best`.
-        Raises `_Budget` if the meter runs out first; `best` then holds the
-        smallest optimum found so far, or None."""
+        """Leave the lexicographically smallest optimal placement in
+        `best_hosts`.  Raises `_Budget` if the meter runs out first;
+        `best_hosts` then holds the smallest optimum found so far, or None."""
         if self.m == 0:
             return self._solve_free(meter)
         root = self._tree(meter)
@@ -407,13 +418,13 @@ class _TemplateDP:
                 meter.spend(len(pms))
                 hosts = self._move(sorted(pms), meter)
                 if hosts is not None:
-                    self.best = hosts
+                    self.best_hosts = hosts
 
     def _cheapest(self, pms: list[int], r: int, rack_on: bool) -> np.ndarray:
         """[j] cheapest cost of keeping j more of `pms`, PMs of rack r, on."""
-        table = np.concatenate(([0.0], np.cumsum(sorted(self.ev.B[p] for p in pms))))
+        table = np.concatenate(([0.0], np.cumsum(sorted(self.B[p] for p in pms))))
         if not rack_on:
-            table[1:] += self.ev.R[r]
+            table[1:] += self.R[r]
         return table
 
     def _solve_free(self, meter: _Meter) -> None:
@@ -448,7 +459,7 @@ class _TemplateDP:
                     rest = self._cheapest(pms[n + 1:], r, True)
                     lo, hi = max(0, need - len(tail) + 1), min(need, len(rest) - 1)
                     meter.spend(max(1, hi - lo + 1))
-                    here = cost + self.ev.B[p] + (0.0 if rack_on else self.ev.R[r])
+                    here = cost + self.B[p] + (0.0 if rack_on else self.R[r])
                     after = min((rest[t] + tail[need - t] for t in range(lo, hi + 1)), default=np.inf)
                     if here + after <= limit:
                         chosen.append(p)
@@ -456,12 +467,12 @@ class _TemplateDP:
             if len(chosen) == j:  # short only if rounding hid the set
                 hosts = self._fill(chosen, meter)
                 if hosts is not None:
-                    self.best = hosts
+                    self.best_hosts = hosts
 
     def _fill(self, opened: list[int], meter: _Meter) -> list[int] | None:
         """Migration is free: fill the open PMs in id order, none left empty.
-        None unless lexicographically smaller than `best`."""
-        best, k, n_v = self.best, self.k, self.n_vms
+        None unless lexicographically smaller than `best_hosts`."""
+        best, k, n_v = self.best_hosts, self.k, self.n_vms
         meter.spend(n_v)
         tied = best is not None
         hosts, i, load, empty = [], 0, 0, len(opened)
@@ -482,14 +493,14 @@ class _TemplateDP:
     def _move(self, opened: list[int], meter: _Meter) -> list[int] | None:
         """VMs on open PMs stay; each other VM, in id order, takes the smallest
         open PM that keeps the migration minimal.  None unless
-        lexicographically smaller than `best`.
+        lexicographically smaller than `best_hosts`.
 
         Minimal means each rack and each pod keeps min(movers, spare slots)
         of its own movers (VMs on its PMs turned off).  Counters per rack and
         pod track how many of those must still land inside it, so a host is
         checked in O(1).
         """
-        best, k, rack_of, pod_of = self.best, self.k, self.rack_of, self.pod_of_rack
+        best, k, rack_of, pod_of = self.best_hosts, self.k, self.rack_of, self.pod_of_rack
         loads, prev = self.loads, self.prev
         movers_r = self.rack_loads[:]
         spare_r = [0] * len(movers_r)
@@ -566,24 +577,32 @@ class _BranchAndBound:
     """Depth-first search over hosts for the VMs in `vm_order`.
 
     Each node carries the objective `cost` of its partial assignment, read
-    from the cost table, and the shutdown cost `stake` of the PMs not yet
-    opened, so a leaf and a bound cost O(1).
+    from the terms, and the shutdown cost `stake` of the PMs not yet opened,
+    so a leaf and a bound cost O(1).  Each node entered is one unit of the
+    meter.
     """
 
-    def __init__(self, dc, ev: _FastEval, node_budget: int):
-        self.ev = ev
-        self.node_budget = node_budget
-        self.nodes = 0
+    def __init__(self, dc: DatacenterState, terms: _Terms):
+        self.dc, self.terms = dc, terms
+        t = terms.table
+        self.vm_order = terms.vm_order
+        self.A = terms.energy(np.arange(dc.n_vms)[:, None], np.arange(dc.n_pms)).tolist()
+        self.B, self.R, self.rack_of = terms.B, terms.R, terms.rack_of
+        self.shut = terms.shut.tolist()
+        # fluid[d]: cheapest load energy of the VMs vm_order[d:], any host
+        fluid = (t.slope_wh.min() if dc.n_pms else 0.0) * terms.cpu[self.vm_order]
+        self.fluid = (t.ene_scale * np.append(np.cumsum(fluid[::-1])[::-1], 0.0)).tolist()
+        self.online_prev = dc.online_now()
+        self.meter: _Meter | None = None
         self.best = float("inf")
         self.best_hosts: np.ndarray | None = None
-        self.complete = True
         self.n_vms = dc.n_vms
-        self.cpu, self.ram = ev.cpu.tolist(), ev.ram.tolist()
+        self.cpu, self.ram = terms.cpu.tolist(), dc.demands("ram").tolist()
         self.hosts = [0] * dc.n_vms
         self.counts = [0] * dc.n_pms
         self.rack_open = [0] * dc.n_racks
-        self.cpu_rem = ev.cpu_cap.tolist()
-        self.ram_rem = ev.ram_cap.tolist()
+        self.cpu_rem = dc.capacities("cpu").tolist()
+        self.ram_rem = dc.capacities("ram").tolist()
         self._orders: dict[tuple, list[int]] = {}
 
     def _beats(self, hosts, obj: float) -> bool:
@@ -603,31 +622,37 @@ class _BranchAndBound:
         Drops the shutdown cost still at stake (those PMs may yet open) and
         adds the cheapest load energy of the unplaced VMs.
         """
-        return cost - stake + self.ev.fluid[depth]
+        return cost - stake + self.fluid[depth]
 
     def _branch_order(self) -> list[int]:
         """Online PMs first, then PMs in racks with more open PMs, then by id."""
         key = tuple(self.rack_open)
         order = self._orders.get(key)
         if order is None:
-            ev, rack_open = self.ev, self.rack_open
+            online, rack_of, rack_open = self.online_prev, self.rack_of, self.rack_open
             order = sorted(
                 range(len(self.counts)),
-                key=lambda p: (0 if ev.online_prev[p] else 1, -rack_open[ev.rack_of[p]], p),
+                key=lambda p: (0 if online[p] else 1, -rack_open[rack_of[p]], p),
             )
             self._orders[key] = order
         return order
 
-    def run(self):
-        try:
-            self._dfs(0, self.ev.K, self.ev.shut_total, self._branch_order())
-        except _Budget:
-            self.complete = False
+    def solve(self, meter: _Meter) -> None:
+        """Leave the lexicographically smallest optimal placement in
+        `best_hosts`, seeded with the status quo and first-fit-decreasing.
+        Raises `_Budget` if the meter runs out first; `best_hosts` then
+        holds the incumbent."""
+        self.meter = meter
+        for hosts in _seeds(self.dc):
+            self.seed(hosts, self.terms.value(hosts, self.A))
+        self._dfs(0, self.terms.K, float(self.terms.shut.sum()), self._branch_order())
 
     def _dfs(self, depth, cost, stake, order):
-        self.nodes += 1
-        if self.nodes > self.node_budget:
+        # inline rather than `meter.spend(1)`, which is a call per node
+        meter = self.meter
+        if meter.used >= meter.budget:
             raise _Budget
+        meter.used += 1
         if depth == self.n_vms:
             # most leaves fail the cheap test, which skips a method call
             if cost <= self.best + TIE_EPS and self._beats(self.hosts, cost):
@@ -635,11 +660,10 @@ class _BranchAndBound:
             return
         if self.node_bound(cost, stake, depth) > self.best + TIE_EPS:
             return
-        ev = self.ev
         hosts, counts, rack_open = self.hosts, self.counts, self.rack_open
         cpu_rem, ram_rem = self.cpu_rem, self.ram_rem
-        v = ev.vm_order[depth]
-        c, r, a = self.cpu[v], self.ram[v], ev.A[v]
+        v = self.vm_order[depth]
+        c, r, a = self.cpu[v], self.ram[v], self.A[v]
         for p in order:
             if c > cpu_rem[p] + 1e-9 or r > ram_rem[p] + 1e-9:
                 continue
@@ -653,12 +677,12 @@ class _BranchAndBound:
             else:
                 # opening p changes the branch order below it
                 counts[p] = 1
-                k = ev.rack_of[p]
+                k = self.rack_of[p]
                 rack_open[k] += 1
-                opened = cost + a[p] + ev.B[p]
+                opened = cost + a[p] + self.B[p]
                 if rack_open[k] == 1:
-                    opened += ev.R[k]
-                self._dfs(depth + 1, opened, stake - ev.shut[p], self._branch_order())
+                    opened += self.R[k]
+                self._dfs(depth + 1, opened, stake - self.shut[p], self._branch_order())
                 rack_open[k] -= 1
                 counts[p] = 0
             cpu_rem[p] += c
@@ -674,41 +698,35 @@ def solve_exact(
 ) -> SolveResult:
     """Exact solve with deterministic effort capping.
 
-    The cap buys `time_cap x NODES_PER_SECOND` work units.  A fleet of one
-    VM and one PM template goes to the layout-tree dynamic program: its
-    min-plus pairs, and its tie pass's host checks and the PMs of each open
-    set it walks, are the units.  Any other instance goes to the
-    branch-and-bound: its nodes are the units.
+    The cap buys `time_cap x NODES_PER_SECOND` work units on one meter, and
+    `nodes_explored` is the units spent, never more than that budget.  A
+    fleet of one VM and one PM template goes to the layout-tree dynamic
+    program: its min-plus pairs, and its tie pass's host checks and the PMs
+    of each open set it walks, are the units.  Any other instance goes to
+    the branch-and-bound: each node it enters within the budget is a unit.
 
     "optimal": the result is a global optimum, the lexicographically smallest
-    assignment among ties.  "time-capped": the budget ran out.  The template
-    path then returns the smallest optimum its tie pass found, or, if it
-    found none or the program itself was cut, the better of the status quo
-    and first-fit-decreasing.  The branch-and-bound returns its incumbent.
+    assignment among ties.  "time-capped": the budget ran out.  The result
+    is then the branch-and-bound's incumbent, or the smallest optimum the
+    template path's tie pass found; if the template path found none, or the
+    program itself was cut, the better of the status quo and
+    first-fit-decreasing.
     """
     if not 0 < time_cap < float("inf"):
         raise ValueError("time_cap must be positive and finite")
     t0 = time.perf_counter()
-    ev = _FastEval(dc, weights, params, mig_model)
+    terms = _Terms(dc, weights, params, mig_model)
+    k = _slots_per_pm(dc, terms, mig_model)
+    search = _BranchAndBound(dc, terms) if k is None else _TemplateDP(dc, terms, mig_model, k)
     # a cap too large to count in units leaves the solve unbounded
-    budget = max(1, int(min(time_cap * NODES_PER_SECOND, 2.0**63)))
-    k = _slots_per_pm(dc, ev, mig_model)
-    if k is not None:
-        meter = _Meter(budget)
-        dp = _TemplateDP(dc, ev, mig_model, k)
-        try:
-            dp.solve(meter)
-            complete = True
-        except _Budget:
-            complete = False
-        hosts = dp.best if dp.best is not None else min(_seeds(dc), key=ev.objective)
-        nodes = meter.used
-    else:
-        bnb = _BranchAndBound(dc, ev, budget)
-        for seed in _seeds(dc):
-            bnb.seed(seed, ev.objective(seed))
-        bnb.run()
-        hosts, nodes, complete = bnb.best_hosts, bnb.nodes, bnb.complete
-    proof = "optimal" if complete else "time-capped"
-    return _result(np.asarray(hosts, dtype=int), dc, weights, params, mig_model, nodes, proof,
+    meter = _Meter(max(1, int(min(time_cap * NODES_PER_SECOND, 2.0**63))))
+    try:
+        search.solve(meter)
+        proof = "optimal"
+    except _Budget:
+        proof = "time-capped"
+    hosts = search.best_hosts
+    if hosts is None:
+        hosts = min(_seeds(dc), key=terms.value)
+    return _result(np.asarray(hosts, dtype=int), dc, weights, params, mig_model, meter.used, proof,
                    time.perf_counter() - t0)

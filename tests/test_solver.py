@@ -69,7 +69,7 @@ class TestBudget:
         weights, params, mig = _setup(state)
         cap = 1 / S.NODES_PER_SECOND  # 1 unit, too little for any solve to finish
         res = S.solve_exact(state, weights, params, mig, time_cap=cap)
-        assert res.nodes_explored <= int(cap * S.NODES_PER_SECOND) + 1
+        assert res.nodes_explored <= int(cap * S.NODES_PER_SECOND)
         assert res.proof == "time-capped"
         assert not res.placement.hosts().tolist() == []  # still returns an incumbent
 
@@ -79,6 +79,22 @@ class TestBudget:
         capped = S.solve_exact(state, weights, params, mig, time_cap=0.01)
         greedy = S.greedy_incumbent(state, weights, params, mig)
         assert capped.objective <= greedy.objective + 1e-9
+
+    def test_capped_search_spends_exactly_its_budget(self):
+        # mixed VM sizes: the branch-and-bound, which needs more than 3 nodes
+        # to reach its first leaf
+        state = build_state([2, 2], [(700.0, 900.0, 1.0), (300.0, 400.0, 0.5),
+                                     (500.0, 600.0, 0.8), (900.0, 700.0, 1.5)], [0, 1, 2, 3])
+        weights, params, mig = _setup(state)
+        assert S._slots_per_pm(state, S._Terms(state, weights, params, mig), mig) is None
+        cap = 3 / S.NODES_PER_SECOND
+        res = S.solve_exact(state, weights, params, mig, time_cap=cap)
+        assert res.proof == "time-capped"
+        assert res.nodes_explored == int(cap * S.NODES_PER_SECOND)
+        assert validate_placement(res.placement, state) == []
+        status_quo, _ = C.objective(state.current, state.current, state, weights, params, mig)
+        greedy = S.greedy_incumbent(state, weights, params, mig).objective
+        assert res.objective <= min(float(status_quo), greedy) + 1e-9
 
     def test_bad_cap_rejected(self):
         state = template_fleet_state([0])
@@ -113,21 +129,25 @@ class TestBound:
     def test_root_bound_admissible(self, rng):
         for _ in range(10):
             state, weights, params, mig = random_tiny_instance(rng)
-            ev = S._FastEval(state, weights, params, mig)
-            bnb = S._BranchAndBound(state, ev, node_budget=10**9)
-            root = bnb.node_bound(ev.K, ev.shut_total, 0)
+            terms = S._Terms(state, weights, params, mig)
+            bnb = S._BranchAndBound(state, terms)
+            root = bnb.node_bound(terms.K, terms.shut.sum(), 0)
             best = S.solve_bruteforce(state, weights, params, mig).objective
             assert root <= best + 1e-9
 
 
-class TestFastEval:
-    def test_matches_costs_objective(self, rng):
+class TestTerms:
+    @pytest.mark.parametrize("draw", [random_tiny_instance, random_template_instance],
+                             ids=["tiny", "template"])
+    def test_value_matches_costs_objective(self, rng, draw):
         for _ in range(20):
-            state, weights, params, mig = random_tiny_instance(rng)
-            ev = S._FastEval(state, weights, params, mig)
+            state, weights, params, mig = draw(rng)
+            terms = S._Terms(state, weights, params, mig)
+            A = terms.energy(np.arange(state.n_vms)[:, None], np.arange(state.n_pms)).tolist()
             greedy = S.greedy_incumbent(state, weights, params, mig).placement.hosts()
             for hosts in (state.current.hosts(), greedy):
-                fast = ev.objective(hosts)
+                fast = terms.value(hosts)
+                assert terms.value(hosts, A) == fast  # the full table reads the same entries
                 exact, _ = C.objective(
                     state.current, Placement.from_hosts(hosts, state.n_pms),
                     state, weights, params, mig,
@@ -176,8 +196,7 @@ class TestTemplateProgram:
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force(self, seed):
         state, weights, params, mig = random_template_instance(np.random.default_rng(seed))
-        ev = S._FastEval(state, weights, params, mig)
-        assert S._slots_per_pm(state, ev, mig) is not None
+        assert S._slots_per_pm(state, S._Terms(state, weights, params, mig), mig) is not None
         bf = S.solve_bruteforce(state, weights, params, mig)
         ex = S.solve_exact(state, weights, params, mig, time_cap=10.0)
         assert ex.proof == "optimal"
@@ -214,10 +233,10 @@ class TestTemplateProgram:
         weights, params, mig = _setup(state)
         res = S.solve_exact(state, weights, params, mig, time_cap=1 / S.NODES_PER_SECOND)
         assert (res.nodes_explored, res.proof) == (0, "time-capped")
-        ev = S._FastEval(state, weights, params, mig)
+        terms = S._Terms(state, weights, params, mig)
         greedy = S.greedy_incumbent(state, weights, params, mig).placement.hosts()
-        want = min(ev.objective(state.current.hosts()), ev.objective(greedy))
-        assert ev.objective(res.placement.hosts()) == want
+        want = min(terms.value(state.current.hosts()), terms.value(greedy))
+        assert terms.value(res.placement.hosts()) == want
 
     def test_cut_tie_pass_returns_an_optimum(self):
         # two equal machines with one VM each: either one is optimal to keep
@@ -235,32 +254,31 @@ class TestTemplateProgram:
     def test_other_instances_take_the_search(self, rng):
         for _ in range(10):
             state, weights, params, mig = random_tiny_instance(rng)
-            ev = S._FastEval(state, weights, params, mig)
             if state.n_pms > 1 and state.n_vms > 1:
-                assert S._slots_per_pm(state, ev, mig) is None
+                assert S._slots_per_pm(state, S._Terms(state, weights, params, mig), mig) is None
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_incumbents_carry_their_objective(seed):
     """Every incumbent the B&B records, seeded or found at a leaf, is valued
-    at `_FastEval.objective` of its placement.  Every offered placement is
+    at `_Terms.value` of its placement.  Every offered placement is
     valid, none is seeded twice before the search starts, and a leaf is
     offered only when it replaces the incumbent.  Draws of one VM and one PM
     template go to the layout-tree program instead and are skipped."""
     state, weights, params, mig = random_tiny_instance(np.random.default_rng(seed))
-    assume(S._slots_per_pm(state, S._FastEval(state, weights, params, mig), mig) is None)
+    assume(S._slots_per_pm(state, S._Terms(state, weights, params, mig), mig) is None)
     gaps, seeded = [], []
     seed_fn = S._BranchAndBound.seed
 
     def recording_seed(bnb, hosts, obj):
         assert validate_placement(Placement.from_hosts(hosts, state.n_pms), state) == []
-        if bnb.nodes == 0:
+        if bnb.meter.used == 0:
             seeded.append(tuple(hosts))
         before = bnb.best_hosts
         seed_fn(bnb, hosts, obj)
-        gaps.append(abs(bnb.best - bnb.ev.objective(bnb.best_hosts)))
-        if bnb.nodes > 0:
+        gaps.append(abs(bnb.best - bnb.terms.value(bnb.best_hosts)))
+        if bnb.meter.used > 0:
             assert not np.array_equal(bnb.best_hosts, before)
 
     S._BranchAndBound.seed = recording_seed
