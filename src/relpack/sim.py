@@ -165,31 +165,26 @@ def build_datacenter(scenario: Scenario, seed: int | None = None) -> DatacenterS
 
 def random_initial_placement(scenario: Scenario, rng: np.random.Generator) -> Placement:
     """Uniform random feasible mapping: random host per VM with a first-fit
-    fallback scan, retried from scratch when the scan dead-ends."""
+    fallback scan.  Every VM is alike, so the scan fails only when every PM
+    is full, and no other draw could place the population."""
     n_v, n_p = scenario.n_vms, scenario.n_pms
     cpu = np.full(n_v, scenario.vm.cpu_demand)
     ram = np.full(n_v, scenario.vm.ram_demand)
-    for _attempt in range(1000):
-        cpu_rem = np.full(n_p, scenario.pm.cpu_capacity)
-        ram_rem = np.full(n_p, scenario.pm.ram_capacity)
-        hosts = np.full(n_v, -1, dtype=int)
-        order = rng.permutation(n_v)
-        ok = True
-        for v in order:
-            start = int(rng.integers(n_p))
-            for k in range(n_p):
-                p = (start + k) % n_p
-                if cpu[v] <= cpu_rem[p] + 1e-9 and ram[v] <= ram_rem[p] + 1e-9:
-                    hosts[v] = p
-                    cpu_rem[p] -= cpu[v]
-                    ram_rem[p] -= ram[v]
-                    break
-            else:
-                ok = False
+    cpu_rem = np.full(n_p, scenario.pm.cpu_capacity)
+    ram_rem = np.full(n_p, scenario.pm.ram_capacity)
+    hosts = np.full(n_v, -1, dtype=int)
+    for v in rng.permutation(n_v):
+        start = int(rng.integers(n_p))
+        for k in range(n_p):
+            p = (start + k) % n_p
+            if cpu[v] <= cpu_rem[p] + 1e-9 and ram[v] <= ram_rem[p] + 1e-9:
+                hosts[v] = p
+                cpu_rem[p] -= cpu[v]
+                ram_rem[p] -= ram[v]
                 break
-        if ok:
-            return Placement.from_hosts(hosts, n_p)
-    raise C.InfeasibleError("could not place the VM population after 1000 attempts")
+        else:
+            raise C.InfeasibleError("could not place the VM population")
+    return Placement.from_hosts(hosts, n_p)
 
 
 def migration_model(scenario: Scenario, dc: DatacenterState) -> C.MigrationCostModel:

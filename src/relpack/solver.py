@@ -212,18 +212,18 @@ def solve_bruteforce(
 # greedy
 
 
-def _by_cpu(cpu: np.ndarray) -> list[int]:
+def _by_cpu(cpu: np.ndarray | list[float]) -> list[int]:
     """VM ids by decreasing CPU demand, then id."""
     return sorted(range(len(cpu)), key=lambda v: (-cpu[v], v))
 
 
 def _first_fit_decreasing(dc: DatacenterState) -> np.ndarray | None:
     """First-fit-decreasing on CPU demand, currently-online PMs first; None if it fails."""
-    cpu, ram = dc.demands("cpu"), dc.demands("ram")
-    cpu_rem, ram_rem = dc.capacities("cpu"), dc.capacities("ram")
-    online = dc.online_now()
+    cpu, ram = dc.demands("cpu").tolist(), dc.demands("ram").tolist()
+    cpu_rem, ram_rem = dc.capacities("cpu").tolist(), dc.capacities("ram").tolist()
+    online = dc.online_now().tolist()
     pm_order = sorted(range(dc.n_pms), key=lambda p: (0 if online[p] else 1, p))
-    hosts = np.full(dc.n_vms, -1, dtype=int)
+    hosts = [-1] * dc.n_vms
     for v in _by_cpu(cpu):
         for p in pm_order:
             if cpu[v] <= cpu_rem[p] + 1e-9 and ram[v] <= ram_rem[p] + 1e-9:
@@ -233,7 +233,7 @@ def _first_fit_decreasing(dc: DatacenterState) -> np.ndarray | None:
                 break
         else:
             return None
-    return hosts
+    return np.array(hosts, dtype=int)
 
 
 def greedy_incumbent(
@@ -370,7 +370,11 @@ class _TemplateDP:
 
     The tie pass walks the open sets that reach z* (within TIE_EPS) lazily,
     places each one's VMs greedily in id order, and keeps the
-    lexicographically smallest placement, as brute force does.  When
+    lexicographically smallest placement, as brute force does.  A VM off a
+    closed PM takes the smallest open PM that leaves the excess sum as it
+    is: any host in its own rack, or one outside its rack (pod) when its
+    rack (pod) has more VMs to move than free slots and the host's rack
+    (pod) more free slots than VMs to move; see `_move`.  When
     migration is free (m = 0) no walk is needed; see `_solve_free`.
     """
 
@@ -383,7 +387,10 @@ class _TemplateDP:
         self.loads = dc.current.pm_loads().tolist()
         self.rack_of = terms.rack_of
         self.pod_of_rack = list(mig_model.pod_of_rack)
-        self.rack_loads = np.bincount(dc.rack_of()[self.prev], minlength=dc.n_racks).tolist()
+        rack_of_vm = dc.rack_of()[self.prev]
+        self.rack_loads = np.bincount(rack_of_vm, minlength=dc.n_racks).tolist()
+        self.pod_loads = np.bincount(np.asarray(self.pod_of_rack, dtype=int)[rack_of_vm],
+                                     minlength=max(self.pod_of_rack, default=-1) + 1).tolist()
         self.best_hosts: list[int] | None = None
 
     def _tree(self, meter: _Meter) -> _Tree:
@@ -399,8 +406,7 @@ class _TemplateDP:
             pods.setdefault(self.pod_of_rack[r], []).append(_level(racks[r], own, size, meter))
         pod_trees = []
         for d in sorted(pods):
-            n = sum(self.rack_loads[r] for r in racks if self.pod_of_rack[r] == d)
-            own = lambda j, n=n: m * np.maximum(0, n - k * j)
+            own = lambda j, n=self.pod_loads[d]: m * np.maximum(0, n - k * j)
             pod_trees.append(_level(pods[d], own, size, meter))
         # the open PMs must hold every VM
         return _level(pod_trees, lambda j: np.where(k * j >= self.n_vms, 0.0, np.inf), size, meter)
@@ -495,71 +501,53 @@ class _TemplateDP:
         open PM that keeps the migration minimal.  None unless
         lexicographically smaller than `best_hosts`.
 
-        Minimal means each rack and each pod keeps min(movers, spare slots)
-        of its own movers (VMs on its PMs turned off).  Counters per rack and
-        pod track how many of those must still land inside it, so a host is
-        checked in O(1).
+        Minimal means the excess sum over racks and pods stays as it is.  Per
+        rack and pod, `movers` counts the VMs still to move off its closed
+        PMs and `spare` the free slots on its open PMs.  A host in the
+        mover's rack always keeps the excess; leaving the rack (the pod) keeps
+        it only when the mover's rack (pod) has more movers than spare slots
+        and the host's rack (pod) more spare slots than movers.
         """
-        best, k, rack_of, pod_of = self.best_hosts, self.k, self.rack_of, self.pod_of_rack
-        loads, prev = self.loads, self.prev
-        movers_r = self.rack_loads[:]
-        spare_r = [0] * len(movers_r)
-        spare = {}
-        is_open = set(opened)
+        best, k, rack_of = self.best_hosts, self.k, self.rack_of
+        n_racks = len(self.rack_loads)
+        # node ids: rack r is r, pod d is n_racks + d
+        nodes = [(r, n_racks + d) for r, d in enumerate(self.pod_of_rack)]
+        movers = self.rack_loads + self.pod_loads
+        spare = [0] * len(movers)
+        free = {}
         for q in opened:
-            r = rack_of[q]
-            movers_r[r] -= loads[q]
-            spare_r[r] += k - loads[q]
-            spare[q] = k - loads[q]
-        need_r = [min(a, b) for a, b in zip(movers_r, spare_r)]
-        n_pods = max(pod_of) + 1
-        movers_d, spare_d, need_rd = [0] * n_pods, [0] * n_pods, [0] * n_pods
-        for r, d in enumerate(pod_of):
-            movers_d[d] += movers_r[r]
-            spare_d[d] += spare_r[r]
-            need_rd[d] += need_r[r]
-        need_d = [min(a, b) for a, b in zip(movers_d, spare_d)]
-        avail = [q for q in opened if spare[q]]
+            free[q] = k - self.loads[q]
+            for a in nodes[rack_of[q]]:
+                movers[a] -= self.loads[q]
+                spare[a] += free[q]
+        avail = [q for q in opened if free[q]]
         tied = best is not None
         hosts = []
-        for v, h in enumerate(prev):
-            if h in is_open:
+        for v, h in enumerate(self.prev):
+            if h in free:
                 meter.spend(1)
                 host = h
             else:
-                r, d = rack_of[h], pod_of[rack_of[h]]
+                r, d = nodes[rack_of[h]]
                 checks = 0
                 for host in avail:
                     checks += 1
                     if tied and host > best[v]:
                         meter.spend(checks)
                         return None
-                    rq = rack_of[host]
-                    dq = pod_of[rq]
-                    if rq == r:
-                        ok = need_r[r] > 0
-                    elif movers_r[r] == need_r[r] or spare_r[rq] == need_r[rq]:
-                        ok = False
-                    elif dq == d:
-                        ok = need_d[d] > need_rd[d]
-                    else:
-                        ok = movers_d[d] > need_d[d] and spare_d[dq] > need_d[dq]
-                    if ok:
+                    rq, dq = nodes[rack_of[host]]
+                    if rq == r or (movers[r] > spare[r] and spare[rq] > movers[rq] and (
+                            dq == d or (movers[d] > spare[d] and spare[dq] > movers[dq]))):
                         break
                 else:
                     raise AssertionError("tie pass found no host for a migrating VM")
                 meter.spend(checks)
-                movers_r[r] -= 1
-                movers_d[d] -= 1
-                spare_r[rq] -= 1
-                spare_d[dq] -= 1
-                if rq == r:
-                    need_r[r] -= 1
-                    need_rd[d] -= 1
-                if dq == d:
-                    need_d[d] -= 1
-                spare[host] -= 1
-                if not spare[host]:
+                movers[r] -= 1
+                movers[d] -= 1
+                spare[rq] -= 1
+                spare[dq] -= 1
+                free[host] -= 1
+                if not free[host]:
                     avail.remove(host)
             if tied and host != best[v]:
                 if host > best[v]:

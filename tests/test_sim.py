@@ -40,6 +40,24 @@ class TestBuild:
         with pytest.raises(C.InfeasibleError):
             sim.build_datacenter(sc, seed=0)
 
+        class CountingRng:
+            """A generator that counts the VM orders it draws."""
+
+            def __init__(self):
+                self.rng, self.orders = np.random.default_rng(0), 0
+
+            def permutation(self, n):
+                self.orders += 1
+                return self.rng.permutation(n)
+
+            def integers(self, *args, **kwargs):
+                return self.rng.integers(*args, **kwargs)
+
+        rng = CountingRng()
+        with pytest.raises(C.InfeasibleError):
+            sim.random_initial_placement(sc, rng)
+        assert rng.orders == 1  # every VM is alike, so the first draw decides
+
     def test_cycle_spread(self):
         sc = small_scenario(cycle_count_base=100, cycle_count_spread=30)
         state = sim.build_datacenter(sc, seed=5)

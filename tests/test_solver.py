@@ -156,7 +156,7 @@ class TestTerms:
 
 
 class TestSearchPins:
-    """Work units, proof and placement of two template-fleet solves, fixed so
+    """Work units, proof and placement of three template-fleet solves, fixed so
     that a change to the evaluation or bookkeeping cannot silently change
     the result."""
 
@@ -188,6 +188,18 @@ class TestSearchPins:
             63, 7
         ]
 
+    def test_three_pods_spread_counters(self):
+        scenario = sim.Scenario(n_racks=12, pms_per_rack=4, n_vms=78, n_pods=3, kappa=30.0,
+                                cycle_count_spread=60, time_cap=0.05)
+        res = self._solve(scenario, 0)
+        assert (res.nodes_explored, res.proof) == (1664, "optimal")
+        assert res.placement.hosts().tolist() == [
+            24, 24, 25, 4, 36, 25, 28, 47, 4, 46, 19, 28, 44, 8, 32, 44, 8, 45, 28, 16,
+            30, 19, 25, 36, 36, 32, 11, 24, 16, 24, 32, 5, 5, 41, 44, 29, 47, 37, 41, 4,
+            32, 47, 30, 8, 46, 43, 46, 43, 11, 8, 41, 25, 5, 36, 4, 28, 16, 37, 44, 16,
+            11, 19, 45, 37, 11, 47, 19, 45, 29, 46, 41, 29, 45, 29, 43, 30, 5, 30
+        ]
+
 
 class TestTemplateProgram:
     """The layout-tree program that solves fleets of one VM and one PM template."""
@@ -217,6 +229,33 @@ class TestTemplateProgram:
         model = milp.build_model(state, scenario.weights, scenario.reliability, mig)
         highs, _ = lp_oracle.solve_lp_text(milp.export_lp(model))
         assert res.objective == pytest.approx(highs, abs=1e-6)
+
+    @pytest.mark.parametrize("n_racks, n_pods, alpha, seed", [
+        (6, 1, 1.0, 0), (7, 2, 0.5, 0), (8, 3, 1.0, 1), (9, 4, 0.5, 1),
+        (10, 2, 1.0, 1), (12, 4, 0.5, 0), (14, 3, 1.0, 0), (14, 4, 0.5, 1),
+    ])
+    def test_tie_pass_moves_only_the_excess(self, n_racks, n_pods, alpha, seed):
+        # beyond brute-force size: the VMs of PMs kept on stay, and the
+        # migration is the tree-transport excess of the open set returned
+        scenario = sim.Scenario(n_racks=n_racks, pms_per_rack=4, n_vms=13 * n_racks // 2,
+                                n_pods=n_pods, kappa=30.0, cycle_count_spread=60,
+                                weights=C.CostWeights(alpha=alpha, beta=1.0, gamma=1.0))
+        state = sim.build_datacenter(scenario, seed)
+        mig = sim.migration_model(scenario, state)
+        k = S._slots_per_pm(state, S._Terms(state, scenario.weights, scenario.reliability, mig), mig)
+        res = S.solve_exact(state, scenario.weights, scenario.reliability, mig, time_cap=2.0)
+        assert res.proof == "optimal"
+        prev, hosts = state.current.hosts(), res.placement.hosts()
+        kept = res.placement.pm_loads() > 0
+        assert (hosts[kept[prev]] == prev[kept[prev]]).all()
+        rack = np.asarray(mig.rack_of)
+        excess = 0
+        for node in (np.arange(state.n_pms), rack, np.asarray(mig.pod_of_rack)[rack]):
+            n = np.bincount(node[prev], minlength=node.max() + 1)
+            j = np.bincount(node[kept], minlength=node.max() + 1)
+            excess += np.maximum(0, n - k * j).sum()
+        want = scenario.kappa * scenario.vm.mem_gb * excess
+        assert res.breakdown.mig_energy_wh == pytest.approx(want)
 
     def test_free_migration_fleet_packs_to_the_floor(self):
         # free migration and equal machines: a huge family of tied open sets,
