@@ -62,10 +62,6 @@ class VmSpec:
         if self.cpu_demand < 0 or self.ram_demand < 0 or self.mem_gb < 0:
             raise StructuralError(f"vm {self.id}: demands must be >= 0")
 
-    @property
-    def demands(self) -> dict[str, float]:
-        return {"cpu": self.cpu_demand, "ram": self.ram_demand}
-
 
 @dataclass(frozen=True)
 class RackSpec:

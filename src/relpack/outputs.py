@@ -6,6 +6,7 @@ produce byte-identical files.  Files are written atomically (temp + rename).
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 from .costs import CostWeights
@@ -58,23 +59,13 @@ def report_row(report: SlotReport, seed, weights: CostWeights) -> str:
 
 
 def mean_row(reports: list[SlotReport], weights: CostWeights, label: str = "mean") -> str:
+    """`report_row` of the first report, with `label` as its seed and each
+    count and cost replaced by its mean over `reports`."""
     n = len(reports)
-    fields = [
-        reports[0].slot,
-        label,
-        weights.alpha,
-        weights.beta,
-        weights.gamma,
-        sum(r.active_racks for r in reports) / n,
-        sum(r.active_pms for r in reports) / n,
-        sum(r.n_migrations for r in reports) / n,
-        sum(r.c_ene for r in reports) / n,
-        sum(r.c_rel for r in reports) / n,
-        sum(r.g_rel for r in reports) / n,
-        sum(r.objective for r in reports) / n,
-        sum(r.wall_time for r in reports) / n,
-    ]
-    return ",".join(_fmt(f) for f in fields)
+    means = {name: sum(getattr(r, name) for r in reports) / n
+             for name in ("active_racks", "active_pms", "n_migrations", "c_ene", "c_rel",
+                          "g_rel", "objective", "wall_time")}
+    return report_row(replace(reports[0], **means), label, weights)
 
 
 def write_report_csv(path: str | Path, rows: list[str]) -> None:

@@ -1,19 +1,21 @@
 """YAML scenario files.
 
-Schema (all keys optional, defaults in parentheses; any other key is an error):
+Schema (all keys optional; any other key is an error):
 
-    racks:       {count (8), pms_per_rack (4), tor_power (366), cooling_power (950)}
-    pm:          {cpu_capacity (2000), ram_capacity (10240), p_max (300),
-                  k_idle (0.7), t_idle (318), t_max (350),
-                  cycle_count (100), cycle_count_spread (0)}
-    vms:         {count (52), cpu (500), ram (612), mem_gb (0.612)}
-    weights:     {alpha (1), beta (1), gamma (1), rho (0.10), omega (0.1902), tau (0.5)}
-    reliability: {delta (1.51), varrho (1.09), varphi (1.19), q (2.35), t_amb (298),
-                  mttf_hours (26280), hours_per_year (8760), afr_floor (1e-6)}
-    migration:   {kappa (10), pods (2)}
-    seed:        (0)
-    n_slots:     (1)
-    solver:      {kind (exact), time_cap (300)}
+    racks:       {count, pms_per_rack, tor_power, cooling_power}
+    pm:          {cpu_capacity, ram_capacity, p_max, k_idle, t_idle, t_max,
+                  cycle_count, cycle_count_spread}
+    vms:         {count, cpu, ram, mem_gb}
+    weights:     {alpha, beta, gamma, rho, omega, tau}
+    reliability: {delta, varrho, varphi, q, t_amb, mttf_hours, hours_per_year, afr_floor}
+    migration:   {kappa, pods}
+    seed
+    n_slots
+    solver:      {kind, time_cap}
+
+Each key sets one field of `sim.Scenario` (`_FIELDS`).  A key left out keeps
+that field's default; the README lists the defaults.  A key's kind is its
+field's type: text, a finite real or a whole number.
 
 Every number is finite and not a bool; counts, pods, seed, n_slots and the
 cycle counters are whole numbers.  kappa, p_max, tor_power and
@@ -26,19 +28,49 @@ cycle_count + cycle_count_spread + n_slots - 1 may not exceed 1599.
 from __future__ import annotations
 
 import math
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import yaml
 
 from .costs import CostWeights, ReliabilityParams
-from .sim import PmTemplate, Scenario, VmTemplate
+from .sim import PmTemplate, Scenario
 
 
 class ScenarioError(ValueError):
     """Malformed or unreadable scenario file."""
 
 
-_SECTIONS = ("racks", "pm", "vms", "weights", "reliability", "migration", "solver")
+# "section.key" (or a top-level key) -> the field of `sim.Scenario` it sets;
+# "vm.cpu_demand" is the `cpu_demand` field of `Scenario.vm`.
+_FIELDS = {
+    "racks.count": "n_racks",
+    "racks.pms_per_rack": "pms_per_rack",
+    "racks.tor_power": "tor_power",
+    "racks.cooling_power": "cooling_power",
+    **{f"pm.{f.name}": f"pm.{f.name}" for f in fields(PmTemplate)},
+    "pm.cycle_count": "cycle_count_base",
+    "pm.cycle_count_spread": "cycle_count_spread",
+    "vms.count": "n_vms",
+    "vms.cpu": "vm.cpu_demand",
+    "vms.ram": "vm.ram_demand",
+    "vms.mem_gb": "vm.mem_gb",
+    **{f"weights.{f.name}": f"weights.{f.name}" for f in fields(CostWeights)},
+    **{f"reliability.{f.name}": f"reliability.{f.name}" for f in fields(ReliabilityParams)},
+    "migration.kappa": "kappa",
+    "migration.pods": "n_pods",
+    "seed": "seed",
+    "n_slots": "n_slots",
+    "solver.kind": "solver",
+    "solver.time_cap": "time_cap",
+}
+_SECTIONS = tuple(dict.fromkeys(key.split(".")[0] for key in _FIELDS if "." in key))
+# the type of every field of `Scenario` and of its nested templates, by path
+_TYPES = get_type_hints(Scenario)
+_TYPES.update({f"{outer}.{name}": kind for outer, cls in list(_TYPES.items()) if is_dataclass(cls)
+               for name, kind in get_type_hints(cls).items()})
+_NUMBERS = {float: ("a finite number", math.isfinite), int: ("a whole number", float.is_integer)}
 
 
 class _Keys(dict):
@@ -49,26 +81,22 @@ class _Keys(dict):
         super().__init__(keys)
         self.prefix = prefix
 
-    def real(self, key: str, default: float) -> float:
-        """The value of `key` as a finite float."""
-        return self._number(key, default, "a finite number", math.isfinite)
-
-    def whole(self, key: str, default: int) -> int:
-        """The value of `key` as an int: an integer, or a float or string holding one."""
-        value = self.get(key, default)
-        number = self._number(key, default, "a whole number", float.is_integer)
-        return value if isinstance(value, int) else int(number)
-
-    def _number(self, key: str, default, kind: str, ok) -> float:
-        """Pop `key` as a float for which `ok` holds; a bool is not a number."""
-        value = self.pop(key, default)
+    def read(self, key: str, kind: type):
+        """Pop `key` as `kind`: text, a finite float, or an int (an integer, or
+        a float or string holding one).  A bool is not a number."""
+        value = self.pop(key)
+        if kind is str:
+            return str(value)
+        what, ok = _NUMBERS[kind]
         try:
             number = float(value)
         except (TypeError, ValueError, OverflowError):
             number = math.nan
         if isinstance(value, bool) or not ok(number):
-            raise ValueError(f"{self.prefix}{key} must be {kind}, got {value!r}")
-        return number
+            raise ValueError(f"{self.prefix}{key} must be {what}, got {value!r}")
+        if kind is float:
+            return number
+        return value if isinstance(value, int) else int(number)
 
 
 def _section(data: dict, name: str) -> _Keys:
@@ -99,60 +127,21 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def scenario_from_dict(data: dict) -> Scenario:
     top = _Keys("", data)
-    sections = {name: _section(top, name) for name in _SECTIONS}
-    racks, pm, vms, weights, rel, mig, solver = sections.values()
+    sections = {"": top} | {name: _section(top, name) for name in _SECTIONS}
+    # the values read, by nested field of Scenario ("" for its own fields)
+    values: dict[str, dict] = {}
     try:
-        scenario = Scenario(
-            n_racks=racks.whole("count", 8),
-            pms_per_rack=racks.whole("pms_per_rack", 4),
-            tor_power=racks.real("tor_power", 366.0),
-            cooling_power=racks.real("cooling_power", 950.0),
-            n_vms=vms.whole("count", 52),
-            pm=PmTemplate(
-                cpu_capacity=pm.real("cpu_capacity", 2000.0),
-                ram_capacity=pm.real("ram_capacity", 10240.0),
-                p_max=pm.real("p_max", 300.0),
-                k_idle=pm.real("k_idle", 0.7),
-                t_idle=pm.real("t_idle", 318.0),
-                t_max=pm.real("t_max", 350.0),
-            ),
-            vm=VmTemplate(
-                cpu_demand=vms.real("cpu", 500.0),
-                ram_demand=vms.real("ram", 612.0),
-                mem_gb=vms.real("mem_gb", 0.612),
-            ),
-            weights=CostWeights(
-                alpha=weights.real("alpha", 1.0),
-                beta=weights.real("beta", 1.0),
-                gamma=weights.real("gamma", 1.0),
-                rho=weights.real("rho", 0.10),
-                omega=weights.real("omega", 0.1902),
-                tau=weights.real("tau", 0.5),
-            ),
-            reliability=ReliabilityParams(
-                delta=rel.real("delta", 1.51),
-                varrho=rel.real("varrho", 1.09),
-                varphi=rel.real("varphi", 1.19),
-                q=rel.real("q", 2.35),
-                t_amb=rel.real("t_amb", 298.0),
-                mttf_hours=rel.real("mttf_hours", 26280.0),
-                hours_per_year=rel.real("hours_per_year", 8760.0),
-                afr_floor=rel.real("afr_floor", 1e-6),
-            ),
-            kappa=mig.real("kappa", 10.0),
-            n_pods=mig.whole("pods", 2),
-            cycle_count_base=pm.whole("cycle_count", 100),
-            cycle_count_spread=pm.whole("cycle_count_spread", 0),
-            seed=top.whole("seed", 0),
-            n_slots=top.whole("n_slots", 1),
-            solver=str(solver.pop("kind", "exact")),
-            time_cap=solver.real("time_cap", 300.0),
-        )
+        for key, path in _FIELDS.items():
+            section, _, name = key.rpartition(".")
+            if name in sections[section]:
+                outer, _, field = path.rpartition(".")
+                values.setdefault(outer, {})[field] = sections[section].read(name, _TYPES[path])
+        nested = {outer: _TYPES[outer](**kwargs) for outer, kwargs in values.items() if outer}
+        scenario = Scenario(**values.get("", {}), **nested)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad scenario value: {exc}") from exc
     # every key read was popped; what is left is misspelled or unsupported
-    unknown = [str(key) for key in top]
-    unknown += [f"{name}.{key}" for name, section in sections.items() for key in section]
+    unknown = [f"{keys.prefix}{key}" for keys in sections.values() for key in keys]
     if unknown:
         raise ScenarioError(f"unknown scenario key: {', '.join(unknown)}")
     return scenario

@@ -1,238 +1,56 @@
-"""Independent CPLEX-LP-format reader backed by scipy's MILP solver.
+"""HiGHS oracle for exported LP files: read the file, solve it with scipy.
 
-Written from the LP file grammar, not from the exporter, so feeding it an
-exported model is a genuine round trip through an external representation.
+The file is read by `perfbench/lpfile.py`, which is written from the LP
+grammar rather than from the exporter, so solving an exported model is a
+genuine round trip through an external representation.  That reader stays
+free of scipy because the timed benchmark process uses it too.  It is loaded
+by file path, so no other module of `perfbench/` can shadow a module on
+`sys.path`.
 """
 from __future__ import annotations
 
-import re
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import coo_array
 
-_NUMBER = re.compile(r"^[0-9]+(\.[0-9]*)?([eE][+-]?[0-9]+)?$|^\.[0-9]+([eE][+-]?[0-9]+)?$")
-_TOKEN = re.compile(
-    r"<=|>=|=|\+|-|[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
-    r"|[A-Za-z!\"#$%&()/,;?@_`'{}|~][A-Za-z0-9!\"#$%&()/,;?@_`'{}|~.]*"
-)
+_spec = importlib.util.spec_from_file_location(
+    "lpfile", Path(__file__).resolve().parents[1] / "perfbench" / "lpfile.py")
+lpfile = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = lpfile  # dataclasses look their module up here
+_spec.loader.exec_module(lpfile)
 
-_SECTIONS = {
-    "minimize": "objective",
-    "maximize": "objective",
-    "subject": "constraints",
-    "such": "constraints",
-    "st": "constraints",
-    "s.t.": "constraints",
-    "bounds": "bounds",
-    "bound": "bounds",
-    "binary": "binary",
-    "binaries": "binary",
-    "bin": "binary",
-    "general": "general",
-    "generals": "general",
-    "end": "end",
-}
-
-
-class LpParseError(ValueError):
-    pass
-
-
-def _strip_comments(text: str) -> str:
-    return "\n".join(line.split("\\")[0] for line in text.splitlines())
-
-
-def _linear_terms(tokens: list[str]) -> dict[str, float]:
-    coeffs: dict[str, float] = {}
-    sign = 1.0
-    coef: float | None = None
-    for tok in tokens:
-        if tok == "+":
-            sign, coef = sign, coef
-        elif tok == "-":
-            sign = -sign
-        elif _NUMBER.match(tok):
-            coef = float(tok) if coef is None else coef * float(tok)
-        else:
-            value = sign * (1.0 if coef is None else coef)
-            coeffs[tok] = coeffs.get(tok, 0.0) + value
-            sign, coef = 1.0, None
-    if coef is not None:
-        raise LpParseError("dangling numeric constant in expression")
-    return coeffs
-
-
-def _split_labeled(section: str) -> list[tuple[str, str]]:
-    parts = re.split(r"(?:^|\s)([A-Za-z]\w*)\s*:", section)
-    out = []
-    for i in range(1, len(parts) - 1, 2):
-        out.append((parts[i], parts[i + 1]))
-    return out
-
-
-class LpModel:
-    def __init__(self):
-        self.sense = 1  # 1 minimize, -1 maximize
-        self.objective: dict[str, float] = {}
-        self.constraints: list[tuple[str, dict[str, float], str, float]] = []
-        self.lower: dict[str, float] = {}
-        self.upper: dict[str, float] = {}
-        self.binary: set[str] = set()
-        self.integer: set[str] = set()
-
-    @property
-    def var_names(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for name in self.objective:
-            seen.setdefault(name)
-        for _, coeffs, _, _ in self.constraints:
-            for name in coeffs:
-                seen.setdefault(name)
-        for name in list(self.lower) + list(self.upper) + sorted(self.binary | self.integer):
-            seen.setdefault(name)
-        return list(seen)
-
-
-def parse_lp(text: str) -> LpModel:
-    text = _strip_comments(text)
-    model = LpModel()
-    sections: dict[str, list[str]] = {}
-    current = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        head = line.split()[0].lower().rstrip(":")
-        if head in _SECTIONS:
-            current = _SECTIONS[head]
-            rest = line.split(None, 2)
-            # "subject to" spans two words
-            if head == "subject" or head == "such":
-                rest = rest[2:] if len(rest) > 2 else []
-            else:
-                rest = rest[1:]
-            if model.sense == 1 and head == "maximize":
-                model.sense = -1
-            sections.setdefault(current, [])
-            if rest:
-                sections[current].append(" ".join(rest))
-            continue
-        if current is None:
-            raise LpParseError(f"content before first section: {line!r}")
-        sections[current].append(line)
-
-    if "objective" not in sections or "constraints" not in sections:
-        raise LpParseError("missing objective or constraints section")
-
-    obj_text = " ".join(sections["objective"])
-    labeled = _split_labeled(obj_text)
-    if labeled:
-        obj_text = labeled[0][1]
-    model.objective = _linear_terms(_TOKEN.findall(obj_text))
-
-    cons_text = " ".join(sections["constraints"])
-    for name, body in _split_labeled(cons_text):
-        m = re.search(r"(<=|>=|=)", body)
-        if not m:
-            raise LpParseError(f"constraint {name} has no relational operator")
-        sense = m.group(1)
-        lhs, rhs = body[: m.start()], body[m.end():]
-        coeffs = _linear_terms(_TOKEN.findall(lhs))
-        rhs_tokens = _TOKEN.findall(rhs)
-        rhs_val = 0.0
-        sign = 1.0
-        for tok in rhs_tokens:
-            if tok == "-":
-                sign = -sign
-            elif tok == "+":
-                pass
-            elif _NUMBER.match(tok):
-                rhs_val = sign * float(tok)
-            else:
-                raise LpParseError(f"constraint {name}: variable on the right-hand side")
-        model.constraints.append((name, coeffs, sense, rhs_val))
-
-    for line in sections.get("bounds", []):
-        tokens = _TOKEN.findall(line)
-        if "free" in line.lower():
-            name = tokens[0]
-            model.lower[name] = -np.inf
-            model.upper[name] = np.inf
-            continue
-        # forms: L <= x <= U | L <= x | x <= U | x >= L | x = V
-        if len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
-            model.lower[tokens[2]] = float(tokens[0])
-            model.upper[tokens[2]] = float(tokens[4])
-        elif len(tokens) == 3 and tokens[1] == "<=" and _NUMBER.match(tokens[0]):
-            model.lower[tokens[2]] = float(tokens[0])
-        elif len(tokens) == 3 and tokens[1] == "<=":
-            model.upper[tokens[0]] = float(tokens[2])
-        elif len(tokens) == 3 and tokens[1] == ">=":
-            model.lower[tokens[0]] = float(tokens[2])
-        elif len(tokens) == 3 and tokens[1] == "=":
-            model.lower[tokens[0]] = float(tokens[2])
-            model.upper[tokens[0]] = float(tokens[2])
-        else:
-            raise LpParseError(f"unsupported bound line: {line!r}")
-
-    for line in sections.get("binary", []):
-        model.binary.update(_TOKEN.findall(line))
-    for line in sections.get("general", []):
-        model.integer.update(_TOKEN.findall(line))
-    return model
+parse_lp = lpfile.parse
 
 
 def solve_lp_text(text: str) -> tuple[float, dict[str, float]]:
     """Parse and solve to proven optimality; returns (objective, assignment)."""
-    model = parse_lp(text)
-    names = model.var_names
-    index = {name: i for i, name in enumerate(names)}
-    n = len(names)
-
-    c = np.zeros(n)
-    for name, coef in model.objective.items():
-        c[index[name]] = model.sense * coef
-
-    lb = np.zeros(n)
-    ub = np.full(n, np.inf)
-    integrality = np.zeros(n)
-    for i, name in enumerate(names):
-        if name in model.binary:
-            lb[i], ub[i] = 0.0, 1.0
-            integrality[i] = 1
-        if name in model.integer:
-            integrality[i] = 1
-        if name in model.lower:
-            lb[i] = model.lower[name]
-        if name in model.upper:
-            ub[i] = model.upper[name]
-
-    rows = []
-    c_lb = []
-    c_ub = []
-    for _, coeffs, sense, rhs in model.constraints:
-        row = np.zeros(n)
-        for name, coef in coeffs.items():
-            row[index[name]] = coef
-        rows.append(row)
-        if sense == "<=":
-            c_lb.append(-np.inf)
-            c_ub.append(rhs)
-        elif sense == ">=":
-            c_lb.append(rhs)
-            c_ub.append(np.inf)
-        else:
-            c_lb.append(rhs)
-            c_ub.append(rhs)
-
-    res = milp(
-        c,
-        constraints=LinearConstraint(np.array(rows), np.array(c_lb), np.array(c_ub)),
-        bounds=Bounds(lb, ub),
-        integrality=integrality,
-        options={"mip_rel_gap": 0.0},
-    )
+    lp = parse_lp(text)
+    names = lp.variables()
+    col = {n: i for i, n in enumerate(names)}
+    c = np.zeros(len(names))
+    for n, v in lp.objective.items():
+        c[col[n]] = v
+    rows, cols, vals, lo, hi = [], [], [], [], []
+    for i, (_, coeffs, sense, rhs) in enumerate(lp.constraints):
+        for n, v in coeffs.items():
+            rows.append(i)
+            cols.append(col[n])
+            vals.append(v)
+        lo.append(-np.inf if sense == "<=" else rhs)
+        hi.append(np.inf if sense == ">=" else rhs)
+    a = coo_array((vals, (rows, cols)), shape=(len(lp.constraints), len(names))).tocsr()
+    lb = np.array([lp.lower.get(n, 0.0) for n in names])
+    ub = np.full(len(names), np.inf)
+    integrality = np.zeros(len(names))
+    binary = [col[n] for n in lp.binary]
+    ub[binary] = 1.0
+    integrality[binary] = 1
+    res = milp(c, constraints=LinearConstraint(a, lo, hi), bounds=Bounds(lb, ub),
+               integrality=integrality, options={"mip_rel_gap": 0.0})
     if not res.success:
         raise RuntimeError(f"external solver failed: {res.message}")
-    values = {name: float(res.x[i]) for i, name in enumerate(names)}
-    return model.sense * float(res.fun), values
+    return float(res.fun), dict(zip(names, res.x.tolist()))

@@ -229,5 +229,5 @@ class TestLpBytes:
                 for c in model.constraints
             ]
             assert parsed.objective == model.objective
-            assert parsed.binary == set(model.binary_names)
+            assert parsed.binary == list(model.binary_names)
             assert parsed.lower == dict.fromkeys(model.continuous_names, 0.0)

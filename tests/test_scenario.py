@@ -1,7 +1,13 @@
 """Scenario file loading tests."""
+import re
+from dataclasses import asdict
+from pathlib import Path
+
 import pytest
+import yaml
 
 from relpack.scenario import ScenarioError, load_scenario, scenario_from_dict
+from relpack.sim import Scenario
 
 
 class TestLoad:
@@ -60,3 +66,78 @@ class TestLoad:
     def test_bad_weight_range(self):
         with pytest.raises((ScenarioError, ValueError)):
             scenario_from_dict({"weights": {"alpha": 3.0}})
+
+
+def _readme_defaults() -> dict:
+    """The default scenario block of the README, as YAML data."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```yaml\n(.*?)```", text, re.S)
+    return yaml.safe_load(block)
+
+
+# a non-default, in-domain value for every documented key (section None is the
+# top level); the value of each real-valued key is fractional
+_OTHER = {
+    "racks": {"count": 3, "pms_per_rack": 2, "tor_power": 100.5, "cooling_power": 200.5},
+    "pm": {"cpu_capacity": 1999.5, "ram_capacity": 10000.5, "p_max": 250.5, "k_idle": 0.5,
+           "t_idle": 320.5, "t_max": 349.5, "cycle_count": 7, "cycle_count_spread": 3},
+    "vms": {"count": 5, "cpu": 400.5, "ram": 600.5, "mem_gb": 0.5},
+    "weights": {"alpha": 0.5, "beta": 0.25, "gamma": 0.75, "rho": 0.15, "omega": 0.2,
+                "tau": 0.25},
+    "reliability": {"delta": 1.5, "varrho": 1.1, "varphi": 1.2, "q": 2.5, "t_amb": 297.5,
+                    "mttf_hours": 20000.5, "hours_per_year": 8760.5, "afr_floor": 2.5e-6},
+    "migration": {"kappa": 2.5, "pods": 1},
+    "solver": {"kind": "greedy", "time_cap": 0.5},
+    None: {"seed": 4, "n_slots": 2},
+}
+
+
+def _leaves(sc: Scenario) -> dict:
+    """Every field of a scenario by dotted path, nested templates included."""
+    out = {}
+    for name, value in asdict(sc).items():
+        if isinstance(value, dict):
+            out.update({f"{name}.{key}": v for key, v in value.items()})
+        else:
+            out[name] = value
+    return out
+
+
+def _changed_field(section, key, value):
+    """The one field of the loaded scenario that a lone `key: value` changes."""
+    sc = scenario_from_dict({key: value} if section is None else {section: {key: value}})
+    got, default = _leaves(sc), _leaves(Scenario())
+    changed = [path for path in got if got[path] != default[path]]
+    assert len(changed) == 1, f"{section}.{key} changed {changed}"
+    assert got[changed[0]] == value, f"{section}.{key} set {changed[0]} to {got[changed[0]]!r}"
+    return changed[0]
+
+
+class TestSchema:
+    def test_readme_defaults_are_the_dataclass_defaults(self):
+        assert scenario_from_dict(_readme_defaults()) == Scenario()
+
+    def test_every_documented_key_has_a_test_value(self):
+        documented = set()
+        for name, value in _readme_defaults().items():
+            if isinstance(value, dict):
+                documented |= {(name, key) for key in value}
+            else:
+                documented.add((None, name))
+        assert documented == {(s, k) for s, keys in _OTHER.items() for k in keys}
+
+    def test_each_key_sets_exactly_its_own_field(self):
+        fields = [_changed_field(s, k, v) for s, keys in _OTHER.items() for k, v in keys.items()]
+        assert len(set(fields)) == len(fields)
+
+    def test_real_keys_take_fractions_and_whole_keys_reject_them(self):
+        default = _leaves(Scenario())
+        for section, keys in _OTHER.items():
+            for key, value in keys.items():
+                field = _changed_field(section, key, value)
+                if isinstance(default[field], float):
+                    assert not float(value).is_integer(), f"{section}.{key}: pick a fractional value"
+                elif isinstance(default[field], int):
+                    data = {key: value + 0.5}
+                    with pytest.raises(ScenarioError, match="must be a whole number"):
+                        scenario_from_dict(data if section is None else {section: data})
