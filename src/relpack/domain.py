@@ -1,7 +1,7 @@
 """Datacenter data model: racks, PMs, VMs, placements, transition flags."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -106,10 +106,9 @@ class Placement:
 
     @classmethod
     def from_hosts(cls, hosts: Iterable[int], n_pms: int) -> "Placement":
-        hosts = list(hosts)
+        hosts = np.asarray(hosts if isinstance(hosts, np.ndarray) else list(hosts), dtype=np.intp)
         a = np.zeros((len(hosts), n_pms), dtype=np.int8)
-        for v, p in enumerate(hosts):
-            a[v, p] = 1
+        a[np.arange(len(hosts)), hosts] = 1
         return cls(a)
 
     @property
@@ -167,6 +166,11 @@ class DatacenterState:
     vms: tuple[VmSpec, ...]
     current: Placement
     slot_index: int = 0
+    # built once from the specs, read-only: per-resource VM demands and PM
+    # capacities, and each PM's rack
+    _demand: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    _capacity: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    _rack_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "racks", tuple(self.racks))
@@ -190,6 +194,12 @@ class DatacenterState:
         for i, rack in enumerate(self.racks):
             if rack.id != i:
                 raise StructuralError("rack ids must be dense 0-based indices in order")
+        vms, pms = self.vms, self.pms
+        object.__setattr__(self, "_demand", {"cpu": _frozen([v.cpu_demand for v in vms], float),
+                                             "ram": _frozen([v.ram_demand for v in vms], float)})
+        object.__setattr__(self, "_capacity", {"cpu": _frozen([p.cpu_capacity for p in pms], float),
+                                               "ram": _frozen([p.ram_capacity for p in pms], float)})
+        object.__setattr__(self, "_rack_of", _frozen([p.rack_id for p in pms], int))
         bad = validate_placement(self.current, self)
         if bad:
             raise PlacementError(f"current placement invalid: {bad[0]}")
@@ -207,35 +217,29 @@ class DatacenterState:
         return len(self.racks)
 
     def capacities(self, resource: str) -> np.ndarray:
-        if resource == "cpu":
-            return np.array([p.cpu_capacity for p in self.pms], dtype=float)
-        if resource == "ram":
-            return np.array([p.ram_capacity for p in self.pms], dtype=float)
-        raise KeyError(resource)
+        """Per-PM capacity of `resource`; a fresh array the caller may change."""
+        return self._capacity[resource].copy()
 
     def demands(self, resource: str) -> np.ndarray:
-        if resource == "cpu":
-            return np.array([v.cpu_demand for v in self.vms], dtype=float)
-        if resource == "ram":
-            return np.array([v.ram_demand for v in self.vms], dtype=float)
-        raise KeyError(resource)
+        """Per-VM demand of `resource`; a fresh array the caller may change."""
+        return self._demand[resource].copy()
 
     def rack_of(self) -> np.ndarray:
         """Per-PM rack index."""
-        return np.array([p.rack_id for p in self.pms], dtype=int)
+        return self._rack_of.copy()
 
     def online_now(self) -> np.ndarray:
         """Per-PM boolean: hosting at least one VM in the current slot."""
         return self.current.pm_loads() > 0
 
     def with_placement(self, placement: Placement, cycle_increments: np.ndarray | None = None) -> "DatacenterState":
-        """Next-slot state: `placement` becomes current, counters advance."""
+        """Next-slot state: `placement` becomes current, counters advance.
+        PMs whose counter does not move are carried over as they are."""
         pms = self.pms
         if cycle_increments is not None:
-            pms = tuple(
-                replace(pm, cycle_count=pm.cycle_count + int(inc))
-                for pm, inc in zip(pms, cycle_increments)
-            )
+            pms = list(pms)
+            for p in np.flatnonzero(cycle_increments).tolist():
+                pms[p] = replace(pms[p], cycle_count=pms[p].cycle_count + int(cycle_increments[p]))
         return DatacenterState(self.racks, pms, self.vms, placement, self.slot_index + 1)
 
 
@@ -255,8 +259,8 @@ def validate_placement(p: Placement, dc: DatacenterState) -> list[Violation]:
         kind = "row-sum"
         out.append(Violation(kind, f"vm {v} assigned to {int(row_sums[v])} PMs", float(row_sums[v])))
     for resource in PACKED_RESOURCES:
-        used = dc.demands(resource) @ p.assign
-        cap = dc.capacities(resource)
+        used = dc._demand[resource] @ p.assign
+        cap = dc._capacity[resource]
         for j in np.nonzero(used > cap + 1e-9)[0]:
             out.append(
                 Violation("capacity", f"pm {j} {resource} demand {used[j]:g} > capacity {cap[j]:g}",
@@ -276,12 +280,16 @@ def derive_transition_flags(s_prev: Placement, s_next: Placement, dc: Datacenter
     f10 = (online_prev & ~online_next).astype(np.int8)
     f00 = (~online_prev & ~online_next).astype(np.int8)
     x = online_next.astype(np.int8)
-    y = np.zeros(len(dc.racks), dtype=np.int8)
-    for rack in dc.racks:
-        y[rack.id] = 1 if any(x[p] for p in rack.pm_ids) else 0
+    y = np.bincount(dc._rack_of[online_next], minlength=len(dc.racks)) > 0
     return TransitionFlags(f00=f00, f10=f10, x=x, y=y)
 
 
 def all_utilizations(p: Placement, dc: DatacenterState) -> np.ndarray:
     """Per-PM CPU utilization vector."""
-    return (dc.demands("cpu") @ p.assign) / dc.capacities("cpu")
+    return (dc._demand["cpu"] @ p.assign) / dc._capacity["cpu"]
+
+
+def _frozen(values: list, dtype) -> np.ndarray:
+    a = np.array(values, dtype=dtype)
+    a.setflags(write=False)
+    return a

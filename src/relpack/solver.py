@@ -20,6 +20,7 @@ is the enumeration oracle.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,10 +32,10 @@ from .domain import DatacenterState, Placement
 
 # Deterministic work accounting: a "second" of cap buys this many work units
 # (B&B nodes, min-plus pairs, tie-pass host checks and walked PMs).  Calibrated
-# on one core with the benchmark's instances: the B&B runs ~1M nodes/s and the
-# template program 0.7-1.1M units/s at 32-64 PMs, so a cap-second buys about a
-# second of work there.  Min-plus pairs are vectorised, so large fleets spend
-# units faster (~2.6M/s at 320 PMs).
+# on one core with the benchmark's instances: the B&B runs ~1M nodes/s.  The
+# template program runs 1.2M units/s (median of 36 paper instances, 16-32 PMs)
+# to 1.9M units/s (ten 64-PM fleets), so a cap-second buys 0.5-0.8 s of its
+# work there; large fleets spend units faster (3.7M/s at 320 PMs).
 NODES_PER_SECOND = 1_000_000
 
 BRUTE_FORCE_LIMIT = 10_000_000
@@ -307,17 +308,19 @@ class _Tree:
 
     __slots__ = ("cost", "own", "kids", "pm")
 
-    def __init__(self, cost: np.ndarray, own: np.ndarray | None = None, kids=(), pm: int = -1):
+    def __init__(self, cost: list[float], own: list[float] | None = None, kids=(), pm: int = -1):
         self.cost, self.own, self.kids, self.pm = cost, own, kids, pm
 
 
-def _minplus(a: np.ndarray, b: np.ndarray, size: int, meter: _Meter) -> np.ndarray:
-    """Min-plus convolution of two tables, cut at `size` entries."""
+def _minplus(a: list[float], b: list[float], size: int, meter: _Meter) -> list[float]:
+    """Min-plus convolution of two tables, cut at `size` entries.  The tables
+    are short (at most a subtree's PMs + 1), so plain loops beat numpy calls."""
     meter.spend(len(a) * len(b))
-    out = np.full(min(len(a) + len(b) - 1, size), np.inf)
+    out = [math.inf] * min(len(a) + len(b) - 1, size)
     for i, x in enumerate(a[:size]):
-        seg = b[:size - i]
-        np.minimum(out[i:i + len(seg)], x + seg, out=out[i:i + len(seg)])
+        for j, y in enumerate(b[:size - i], i):
+            if x + y < out[j]:
+                out[j] = x + y
     return out
 
 
@@ -330,8 +333,9 @@ def _level(kids: list[_Tree], own, size: int, meter: _Meter) -> _Tree:
     while len(kids) > 1:
         kids = [_pair(*kids[i:i + 2], size, meter) if i + 1 < len(kids) else kids[i]
                 for i in range(0, len(kids), 2)]
-    term = own(np.arange(len(kids[0].cost)))
-    return _Tree(kids[0].cost + term, term, (kids[0],))
+    cost = kids[0].cost
+    term = [own(j) for j in range(len(cost))]
+    return _Tree([c + t for c, t in zip(cost, term)], term, (kids[0],))
 
 
 def _choices(node: _Tree, j: int, budget: float):
@@ -397,19 +401,19 @@ class _TemplateDP:
         m, k, size = self.m, self.k, self.n_vms + 1
         racks: dict[int, list[_Tree]] = {}
         for p, n in enumerate(self.loads):
-            leaf = _Tree(np.array([m * n, self.B[p]])[:size], pm=p)
+            leaf = _Tree([m * n, self.B[p]][:size], pm=p)
             racks.setdefault(self.rack_of[p], []).append(leaf)
         pods: dict[int, list[_Tree]] = {}
         for r in sorted(racks):
             n, R = self.rack_loads[r], self.R[r]
-            own = lambda j, n=n, R=R: np.where(j > 0, R, 0.0) + m * np.maximum(0, n - k * j)
+            own = lambda j, n=n, R=R: (R if j > 0 else 0.0) + m * max(0, n - k * j)
             pods.setdefault(self.pod_of_rack[r], []).append(_level(racks[r], own, size, meter))
         pod_trees = []
         for d in sorted(pods):
-            own = lambda j, n=self.pod_loads[d]: m * np.maximum(0, n - k * j)
+            own = lambda j, n=self.pod_loads[d]: m * max(0, n - k * j)
             pod_trees.append(_level(pods[d], own, size, meter))
         # the open PMs must hold every VM
-        return _level(pod_trees, lambda j: np.where(k * j >= self.n_vms, 0.0, np.inf), size, meter)
+        return _level(pod_trees, lambda j: 0.0 if k * j >= self.n_vms else math.inf, size, meter)
 
     def solve(self, meter: _Meter) -> None:
         """Leave the lexicographically smallest optimal placement in
@@ -418,20 +422,18 @@ class _TemplateDP:
         if self.m == 0:
             return self._solve_free(meter)
         root = self._tree(meter)
-        z = root.cost.min()  # finite: the status quo's open set is a candidate
-        for j in np.flatnonzero(root.cost <= z + TIE_EPS).tolist():
+        z = min(root.cost)  # finite: the status quo's open set is a candidate
+        for j in [j for j, c in enumerate(root.cost) if c <= z + TIE_EPS]:
             for pms, _ in _choices(root, j, z + TIE_EPS):
                 meter.spend(len(pms))
                 hosts = self._move(sorted(pms), meter)
                 if hosts is not None:
                     self.best_hosts = hosts
 
-    def _cheapest(self, pms: list[int], r: int, rack_on: bool) -> np.ndarray:
+    def _cheapest(self, pms: list[int], r: int, rack_on: bool) -> list[float]:
         """[j] cheapest cost of keeping j more of `pms`, PMs of rack r, on."""
-        table = np.concatenate(([0.0], np.cumsum(sorted(self.B[p] for p in pms))))
-        if not rack_on:
-            table[1:] += self.R[r]
-        return table
+        sums = itertools.accumulate(sorted(self.B[p] for p in pms))
+        return [0.0, *(sums if rack_on else (c + self.R[r] for c in sums))]
 
     def _solve_free(self, meter: _Meter) -> None:
         """Migration is free (m = 0), so the pod and excess terms vanish: an
@@ -445,15 +447,14 @@ class _TemplateDP:
         size, rack_of = self.n_vms + 1, self.rack_of
         racks = [list(g) for _, g in itertools.groupby(range(len(rack_of)), rack_of.__getitem__)]
         # suffix[i][j]: cheapest j PMs of racks[i:]
-        suffix = [np.zeros(1)]
+        suffix = [[0.0]]
         for pms in reversed(racks):
             suffix.append(_minplus(self._cheapest(pms, rack_of[pms[0]], False), suffix[-1],
                                    size, meter))
         suffix.reverse()
-        counts = np.arange(len(suffix[0]))
-        root = np.where(self.k * counts >= self.n_vms, suffix[0], np.inf)
-        limit = root.min() + TIE_EPS
-        for j in np.flatnonzero(root <= limit).tolist():
+        root = [c if self.k * j >= self.n_vms else math.inf for j, c in enumerate(suffix[0])]
+        limit = min(root) + TIE_EPS
+        for j in [j for j, c in enumerate(root) if c <= limit]:
             chosen, cost = [], 0.0
             for i, pms in enumerate(racks):
                 r, tail = rack_of[pms[0]], suffix[i + 1]
@@ -466,7 +467,7 @@ class _TemplateDP:
                     lo, hi = max(0, need - len(tail) + 1), min(need, len(rest) - 1)
                     meter.spend(max(1, hi - lo + 1))
                     here = cost + self.B[p] + (0.0 if rack_on else self.R[r])
-                    after = min((rest[t] + tail[need - t] for t in range(lo, hi + 1)), default=np.inf)
+                    after = min((rest[t] + tail[need - t] for t in range(lo, hi + 1)), default=math.inf)
                     if here + after <= limit:
                         chosen.append(p)
                         cost = here

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relpack import costs as C
-from relpack.domain import Placement, derive_transition_flags, validate_placement
+from relpack import sim
+from relpack.domain import Placement, all_utilizations, derive_transition_flags, validate_placement
 
 from conftest import build_state, random_tiny_instance, template_fleet_state
 
@@ -235,6 +236,55 @@ class TestCostTable:
                    - t.gain_scale * g_rel)
             assert got == pytest.approx(value, rel=1e-9, abs=1e-12)
             assert t.gain == pytest.approx(t.gain_scale * t.rest, rel=1e-12)
+
+
+FLEETS = {
+    "tiered": sim.Scenario(cycle_count_tiers=((8, 10), (8, 300), (16, 1200))),
+    "spread": sim.Scenario(n_racks=6, pms_per_rack=3, n_vms=30, cycle_count_base=500,
+                           cycle_count_spread=400),
+}
+
+
+class TestShutdownExact:
+    """The table prices each distinct counter and temperature once; every
+    entry must still be the scalar formula's float, compared with `==`."""
+
+    @pytest.mark.parametrize("fleet", sorted(FLEETS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shut_is_the_scalar_shutdown_cost(self, fleet, seed):
+        scenario = FLEETS[fleet]
+        state = sim.build_datacenter(scenario, seed=seed)
+        weights, params = scenario.weights, scenario.reliability
+        table = C.cost_table(state, weights, params, sim.migration_model(scenario, state))
+        thetas = all_utilizations(state.current, state)
+        online = state.online_now()
+        assert not online.all()  # some entries must be the dark PMs' 0.0
+        want = [weights.omega * C.pm_shutdown_cost(pm, float(thetas[pm.id]), params)
+                if online[pm.id] else 0.0 for pm in state.pms]
+        assert table.shut.tolist() == want
+        # the bound charges the dearest |P| - floor of the same scalar costs
+        slots = state.n_pms - C.packing_floor(state)
+        costs = sorted((C.pm_shutdown_cost(pm, float(thetas[pm.id]), params)
+                        for pm in state.pms if online[pm.id]), reverse=True)
+        c_rel_ub, _, _ = C.reliability_bounds(state, weights, params)
+        assert c_rel_ub == weights.omega * sum(costs[:slots])
+
+    def test_energy_bound_is_the_per_pm_sum(self):
+        """`energy_upper_bound` prices each (load, machine) once; the total
+        must be the PM-by-PM sum of `pm_power`, in PM order."""
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            state, weights, _, mig = random_tiny_instance(rng)
+            n_p, n_v = state.n_pms, state.n_vms
+            mean_cpu = state.demands("cpu").sum() / n_v
+            total = 0.0
+            for i, pm in enumerate(state.pms):
+                hosted = n_v // n_p + (1 if i < n_v % n_p else 0)
+                total += C.pm_power(min(1.0, hosted * mean_cpu / pm.cpu_capacity), pm)
+            rack_w = sum(r.tor_power + r.cooling_power for r in state.racks)
+            mig_wh = n_v * mig.max_cell(state.vms)
+            want = weights.rho * (weights.tau * (rack_w + total) + mig_wh) / 1000.0
+            assert C.energy_upper_bound(state, weights, mig) == want
 
 
 class TestValidation:

@@ -131,3 +131,51 @@ class TestUtilization:
     def test_online_now(self):
         state = template_fleet_state([0, 0, 1])
         assert state.online_now().tolist() == [True, True, False, False]
+
+
+class TestDerivedArrays:
+    def test_from_hosts_matches_a_loop(self, rng):
+        hosts = rng.integers(0, 7, size=40)
+        a = np.zeros((40, 7), dtype=np.int8)
+        for v, p in enumerate(hosts):
+            a[v, p] = 1
+        assert np.array_equal(Placement.from_hosts(hosts, 7).assign, a)
+        assert np.array_equal(Placement.from_hosts(hosts.tolist(), 7).assign, a)
+        assert Placement.from_hosts([], 3).assign.shape == (0, 3)
+
+    def test_rack_activity_matches_a_loop(self, rng):
+        state = build_state([3, 1, 2, 2], [(500.0, 612.0, 0.612)] * 6, [0, 0, 4, 5, 7, 7])
+        for _ in range(50):
+            hosts = rng.integers(0, state.n_pms, size=state.n_vms)
+            if (np.bincount(hosts, minlength=state.n_pms) > 4).any():
+                continue
+            flags = derive_transition_flags(state.current, Placement.from_hosts(hosts, 8), state)
+            want = [int(any(flags.x[p] for p in rack.pm_ids)) for rack in state.racks]
+            assert flags.y.tolist() == want
+
+    def test_with_placement_replaces_only_moved_counters(self):
+        state = build_state([3, 3], [(500.0, 612.0, 0.612)] * 5, [0, 1, 2, 3, 4],
+                            cycle_counts=[5, 9, 100, 0, 7, 3])
+        nxt = Placement.from_hosts([0, 0, 0, 0, 4], state.n_pms)
+        flags = derive_transition_flags(state.current, nxt, state)
+        state2 = state.with_placement(nxt, cycle_increments=flags.f10)
+        assert flags.f10.tolist() == [0, 1, 1, 1, 0, 0]
+        for old, new, inc in zip(state.pms, state2.pms, flags.f10.tolist()):
+            assert new.cycle_count == old.cycle_count + inc
+            assert (new is old) == (inc == 0)
+        fresh = DatacenterState(state2.racks, state2.pms, state2.vms, state2.current,
+                                state2.slot_index)
+        for resource in ("cpu", "ram"):
+            assert np.array_equal(state2.demands(resource), fresh.demands(resource))
+            assert np.array_equal(state2.capacities(resource), fresh.capacities(resource))
+        assert np.array_equal(state2.rack_of(), fresh.rack_of())
+
+    def test_accessors_return_fresh_copies(self, tiny_state):
+        cpu = tiny_state.capacities("cpu")
+        cpu[:] = 0.0
+        assert (tiny_state.capacities("cpu") == 2000.0).all()
+        demand = tiny_state.demands("ram")
+        demand[:] = 0.0
+        assert (tiny_state.demands("ram") == 612.0).all()
+        with pytest.raises(KeyError):
+            tiny_state.demands("bw")

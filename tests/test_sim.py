@@ -120,3 +120,22 @@ class TestStep:
     def test_run_deterministic(self):
         sc = small_scenario(n_slots=2)
         assert sim.run(sc, seed=9) == sim.run(sc, seed=9)
+
+
+class TestStepKeepsNoCache:
+    @pytest.mark.parametrize("solver", ["exact", "greedy"])
+    def test_step_leaves_its_input_as_it_was(self, solver):
+        """A step derives what it needs from the state and drops it: no memo
+        on the state or its PMs, which a repeated step would find filled."""
+        sc = small_scenario(cycle_count_spread=40, solver=solver)
+        state = sim.build_datacenter(sc, seed=2)
+        before = dict(vars(state)), [dict(vars(pm)) for pm in state.pms]
+        first = sim.step(state, sc)
+        second = sim.step(state, sc)
+        after = dict(vars(state)), [dict(vars(pm)) for pm in state.pms]
+        for was, now in zip([before[0], *before[1]], [after[0], *after[1]]):
+            assert now.keys() == was.keys()
+            assert all(now[k] is was[k] for k in was)
+        assert first[1] == second[1]
+        assert first[0].current == second[0].current
+        assert first[0].pms == second[0].pms

@@ -201,6 +201,29 @@ class TestSearchPins:
         ]
 
 
+class TestMinPlus:
+    def test_matches_the_minimum_over_all_pairs(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            a, b = ([float(x) if rng.random() > 0.2 else float("inf")
+                     for x in rng.normal(size=int(rng.integers(1, 9)))] for _ in range(2))
+            size = int(rng.integers(1, len(a) + len(b) + 2))
+            want = [float("inf")] * min(len(a) + len(b) - 1, size)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    if i + j < len(want):
+                        want[i + j] = min(want[i + j], x + y)
+            meter = S._Meter(10**6)
+            assert S._minplus(a, b, size, meter) == want
+            assert meter.used == len(a) * len(b)
+
+    def test_spends_before_it_works(self):
+        meter = S._Meter(11)
+        with pytest.raises(S._Budget):
+            S._minplus([0.0] * 3, [0.0] * 4, 10, meter)
+        assert meter.used == 0
+
+
 class TestTemplateProgram:
     """The layout-tree program that solves fleets of one VM and one PM template."""
 
