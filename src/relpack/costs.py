@@ -6,7 +6,7 @@ internally in watt-hours; the electricity price applies after conversion to kWh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,13 +136,14 @@ def pm_energy(pm: PmSpec, f00: int, f10: int, theta: float, tau: float) -> float
 
 def rack_energy(flags: TransitionFlags, racks, tau: float) -> float:
     """Slot energy of ToR switches and cooling for active racks, Wh."""
-    return tau * sum((r.tor_power + r.cooling_power) * int(flags.y[r.id]) for r in racks)
+    y = flags.y.tolist()
+    return tau * sum((r.tor_power + r.cooling_power) * y[r.id] for r in racks)
 
 
 def migration_energy(s_prev: Placement, s_next: Placement, model: MigrationCostModel, vms) -> float:
     """Total energy spent moving VMs between the two mappings, Wh."""
-    hops = model.hops(s_prev.hosts(), s_next.hosts())
-    return sum((model.kappa * vm.mem_gb * float(hops[vm.id]) for vm in vms), 0.0)
+    hops = model.hops(s_prev.hosts(), s_next.hosts()).tolist()
+    return sum((model.kappa * vm.mem_gb * hops[vm.id] for vm in vms), 0.0)
 
 
 def energy_components_wh(
@@ -154,10 +155,10 @@ def energy_components_wh(
     flags: TransitionFlags,
 ) -> tuple[float, float, float]:
     """(pm, rack, migration) slot energies in Wh."""
-    thetas = all_utilizations(s_next, dc)
+    thetas = all_utilizations(s_next, dc).tolist()
+    f00, f10 = flags.f00.tolist(), flags.f10.tolist()
     pm_wh = sum(
-        pm_energy(pm, int(flags.f00[pm.id]), int(flags.f10[pm.id]), float(thetas[pm.id]), weights.tau)
-        for pm in dc.pms
+        pm_energy(pm, f00[pm.id], f10[pm.id], thetas[pm.id], weights.tau) for pm in dc.pms
     )
     rack_wh = rack_energy(flags, dc.racks, weights.tau)
     mig_wh = migration_energy(s_prev, s_next, model, dc.vms)
@@ -240,20 +241,10 @@ def shutdown_hours(dc: DatacenterState, params: ReliabilityParams) -> np.ndarray
     return np.array(hours)
 
 
-def total_reliability_cost(
-    flags: TransitionFlags,
-    dc: DatacenterState,
-    weights: CostWeights,
-    params: ReliabilityParams,
-) -> float:
-    """Dollar value of lifetime consumed by the PMs powering off this slot."""
-    thetas = all_utilizations(dc.current, dc)
-    total_hours = sum(
-        pm_shutdown_cost(pm, float(thetas[pm.id]), params)
-        for pm in dc.pms
-        if flags.f10[pm.id]
-    )
-    return weights.omega * total_hours
+def total_reliability_cost(flags: TransitionFlags, hours: np.ndarray, weights: CostWeights) -> float:
+    """Dollar value of lifetime consumed by the PMs powering off this slot;
+    `hours` is `shutdown_hours` of the state they power off from."""
+    return weights.omega * sum(hours[flags.f10.astype(bool)].tolist())
 
 
 def reliability_gain(flags: TransitionFlags, weights: CostWeights) -> float:
@@ -348,14 +339,37 @@ def objective(
     params: ReliabilityParams,
     model: MigrationCostModel,
 ) -> tuple[float, CostBreakdown]:
-    """Normalized weighted objective for the transition, plus raw components."""
+    """Normalized weighted objective for the transition, plus raw components.
+
+    The independent reference: it derives the flags, shutdown hours and
+    normalization bounds itself, from the formulas above, and prices them
+    with `price_transition`."""
     flags = derive_transition_flags(s_prev, s_next, dc)
+    hours = shutdown_hours(dc, params)
+    c_rel_ub, g_rel_ub, _ = reliability_bounds(dc, weights, params, hours)
+    return price_transition(s_prev, s_next, dc, weights, model, flags, hours,
+                            energy_upper_bound(dc, weights, model), c_rel_ub, g_rel_ub)
+
+
+def price_transition(
+    s_prev: Placement,
+    s_next: Placement,
+    dc: DatacenterState,
+    weights: CostWeights,
+    model: MigrationCostModel,
+    flags: TransitionFlags,
+    hours: np.ndarray,
+    c_ene_ub: float,
+    c_rel_ub: float,
+    g_rel_ub: float,
+) -> tuple[float, CostBreakdown]:
+    """Objective and components of the transition, given its `flags`, the
+    state's `shutdown_hours` and the three normalization bounds: the one
+    place that sums a `CostBreakdown`."""
     pm_wh, rack_wh, mig_wh = energy_components_wh(s_prev, s_next, dc, weights, model, flags)
     c_ene = weights.rho * (pm_wh + rack_wh + mig_wh) / 1000.0
-    c_rel = total_reliability_cost(flags, dc, weights, params)
+    c_rel = total_reliability_cost(flags, hours, weights)
     g_rel = reliability_gain(flags, weights)
-    c_ene_ub = energy_upper_bound(dc, weights, model)
-    c_rel_ub, g_rel_ub, _ = reliability_bounds(dc, weights, params)
     value = (
         weights.alpha * _safe_ratio(c_ene, c_ene_ub)
         + weights.beta * _safe_ratio(c_rel, c_rel_ub)
@@ -382,19 +396,49 @@ class CostTable:
     is ene_scale x (PM, rack and migration Wh) + rel_scale x shutdown dollars
     - gain_scale x rest x dark PMs, and `gain` is the objective credit of one
     dark PM.  The MILP and the branch-and-bound are both written from this
-    table; `objective` is the independent scalar reference.
+    table.
+
+    It also keeps the shutdown `hours` and the three bounds it is derived
+    from, and a solve prices its result with `price_transition` from these;
+    `objective` is the independent scalar reference, which derives its own
+    flags, hours and bounds from the same formulas.  `mig_wh` is built from
+    `hop_wh`, `prev` and `model` only when read.
     """
 
+    c_ene_ub: float        # energy_upper_bound
+    c_rel_ub: float        # reliability_bounds: dearest shutdowns ...
+    g_rel_ub: float        # ... and largest gain
     idle_wh: np.ndarray    # [p] slot energy of an active PM at zero load
     slope_wh: np.ndarray   # [p] slot energy per unit of hosted CPU demand
     rack_wh: np.ndarray    # [r] slot energy of an active rack
-    mig_wh: np.ndarray     # [v, p] energy of moving VM v from its current host to p
     shut: np.ndarray       # [p] dollars of lifetime lost by powering off; 0 if dark now
     rest: float            # dollars of lifetime conserved by one dark PM
     ene_scale: float       # objective weight of one Wh
     rel_scale: float       # objective weight of one shutdown dollar
     gain_scale: float      # objective weight of one conserved dollar
     gain: float            # gain_scale * omega * tau, left to right (not gain_scale * rest)
+    hours: np.ndarray      # [p] shutdown_hours: lifetime hours lost by powering off
+    hop_wh: np.ndarray     # [v] energy of moving VM v one hop, kappa x mem_gb
+    prev: np.ndarray       # [v] current host of VM v
+    model: MigrationCostModel  # the layout the hops are counted on
+
+    def move_wh(self, vms, pms) -> np.ndarray:
+        """Energy of moving VMs `vms` from their current hosts to PMs `pms`,
+        index arrays that broadcast together: entries of `mig_wh`."""
+        return self.hop_wh[vms] * self.model.hops(self.prev[vms], pms).astype(float)
+
+    @property
+    def mig_wh(self) -> np.ndarray:
+        """[v, p] energy of moving VM v from its current host to p, built on
+        each read: only the MILP, brute force and the branch-and-bound need
+        all of it."""
+        return self.move_wh(np.arange(len(self.prev))[:, None], np.arange(len(self.idle_wh)))
+
+
+# checked for finiteness, bounds first; `mig_wh` needs no check, since no
+# entry exceeds `max_cell`, which `c_ene_ub` holds
+_CHECKED = ("c_ene_ub", "c_rel_ub", "g_rel_ub", "idle_wh", "slope_wh", "rack_wh", "shut", "rest",
+            "ene_scale", "rel_scale", "gain_scale", "gain")
 
 
 # overflow is reported by the finiteness check, naming the entry, not warned about
@@ -408,28 +452,33 @@ def cost_table(
     """The coefficient table for deciding `dc`'s next-slot placement."""
     tau = weights.tau
     hours = shutdown_hours(dc, params)
-    mem = np.array([v.mem_gb for v in dc.vms])
-    hops = model.hops(dc.current.hosts()[:, None], np.arange(dc.n_pms))
     c_ene_ub = energy_upper_bound(dc, weights, model)
     c_rel_ub, g_rel_ub, _ = reliability_bounds(dc, weights, params, hours)
-    bounds = {"c_ene_ub": c_ene_ub, "c_rel_ub": c_rel_ub, "g_rel_ub": g_rel_ub}
     gain_scale = _safe_ratio(weights.gamma, g_rel_ub)
     table = CostTable(
+        c_ene_ub=c_ene_ub,
+        c_rel_ub=c_rel_ub,
+        g_rel_ub=g_rel_ub,
         idle_wh=np.array([tau * pm.k_idle * pm.p_max for pm in dc.pms]),
         slope_wh=np.array([tau * (1.0 - pm.k_idle) * pm.p_max / pm.cpu_capacity for pm in dc.pms]),
         rack_wh=np.array([tau * (r.tor_power + r.cooling_power) for r in dc.racks]),
-        mig_wh=model.kappa * mem[:, None] * hops.astype(float),
         shut=weights.omega * hours,
         rest=weights.omega * tau,
         ene_scale=_safe_ratio(weights.alpha * weights.rho / 1000.0, c_ene_ub),
         rel_scale=_safe_ratio(weights.beta, c_rel_ub),
         gain_scale=gain_scale,
         gain=gain_scale * weights.omega * tau,
+        hours=hours,
+        hop_wh=model.kappa * np.array([v.mem_gb for v in dc.vms]),
+        prev=dc.current.hosts(),
+        model=model,
     )
     # a non-finite entry would silently zero a term's scale or poison the objective
-    for name, value in [*bounds.items(), *((f.name, getattr(table, f.name)) for f in fields(table))]:
-        bad = np.asarray(value)[~np.isfinite(value)]
-        if bad.size:
+    for name in _CHECKED:
+        value = getattr(table, name)
+        finite = np.isfinite(value)
+        if not finite.all():
+            bad = np.asarray(value)[~finite]
             raise CostRangeError(f"cost table entry {name} overflows to {bad[0]}; "
                                  "the scenario's numbers are too large")
     return table

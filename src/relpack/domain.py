@@ -1,6 +1,7 @@
 """Datacenter data model: racks, PMs, VMs, placements, transition flags."""
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -107,6 +108,10 @@ class Placement:
     @classmethod
     def from_hosts(cls, hosts: Iterable[int], n_pms: int) -> "Placement":
         hosts = np.asarray(hosts if isinstance(hosts, np.ndarray) else list(hosts), dtype=np.intp)
+        bad = np.flatnonzero((hosts < 0) | (hosts >= n_pms))
+        if bad.size:
+            v = int(bad[0])
+            raise StructuralError(f"vm {v}: host {int(hosts[v])} is not a PM id in [0, {n_pms})")
         a = np.zeros((len(hosts), n_pms), dtype=np.int8)
         a[np.arange(len(hosts)), hosts] = 1
         return cls(a)
@@ -234,13 +239,22 @@ class DatacenterState:
 
     def with_placement(self, placement: Placement, cycle_increments: np.ndarray | None = None) -> "DatacenterState":
         """Next-slot state: `placement` becomes current, counters advance.
-        PMs whose counter does not move are carried over as they are."""
+        PMs whose counter does not move are carried over as they are.  Only
+        counters change, so the layout checks are not run again and the
+        demand, capacity and rack arrays are shared; `placement` is checked."""
         pms = self.pms
         if cycle_increments is not None:
             pms = list(pms)
             for p in np.flatnonzero(cycle_increments).tolist():
                 pms[p] = replace(pms[p], cycle_count=pms[p].cycle_count + int(cycle_increments[p]))
-        return DatacenterState(self.racks, pms, self.vms, placement, self.slot_index + 1)
+        bad = validate_placement(placement, self)
+        if bad:
+            raise PlacementError(f"current placement invalid: {bad[0]}")
+        state = copy.copy(self)
+        object.__setattr__(state, "pms", tuple(pms))
+        object.__setattr__(state, "current", placement)
+        object.__setattr__(state, "slot_index", self.slot_index + 1)
+        return state
 
 
 def validate_placement(p: Placement, dc: DatacenterState) -> list[Violation]:
@@ -270,8 +284,13 @@ def validate_placement(p: Placement, dc: DatacenterState) -> list[Violation]:
 
 
 def derive_transition_flags(s_prev: Placement, s_next: Placement, dc: DatacenterState) -> TransitionFlags:
-    """Compute f00/f10/x/y for the slot transition described by the two mappings."""
+    """Compute f00/f10/x/y for the slot transition described by the two mappings.
+
+    Both are checked first, except `dc.current`, which was checked when
+    the state was made."""
     for name, placement in (("previous", s_prev), ("next", s_next)):
+        if placement is dc.current:
+            continue
         bad = validate_placement(placement, dc)
         if bad:
             raise PlacementError(f"{name} placement invalid: {bad[0]}")

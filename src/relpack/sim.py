@@ -9,14 +9,7 @@ import numpy as np
 
 from . import costs as C
 from . import solver as S
-from .domain import (
-    DatacenterState,
-    Placement,
-    PmSpec,
-    RackSpec,
-    VmSpec,
-    derive_transition_flags,
-)
+from .domain import DatacenterState, Placement, PmSpec, RackSpec, VmSpec
 
 
 # every machine records this bandwidth (Mbps); no constraint reads it
@@ -201,7 +194,7 @@ def step(state: DatacenterState, scenario: Scenario) -> tuple[DatacenterState, S
     """Run the policy for one slot and advance the state."""
     mig = migration_model(scenario, state)
     result = _solve(state, scenario, mig)
-    flags = derive_transition_flags(state.current, result.placement, state)
+    flags = result.flags
     n_migrations = int(
         (state.current.hosts() != result.placement.hosts()).sum()
     )

@@ -22,13 +22,13 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import costs as C
-from .domain import DatacenterState, Placement
+from .domain import DatacenterState, Placement, TransitionFlags, derive_transition_flags
 
 # Deterministic work accounting: a "second" of cap buys this many work units
 # (B&B nodes, min-plus pairs, tie-pass host checks and walked PMs).  Calibrated
@@ -48,6 +48,7 @@ class SolveResult:
     placement: Placement
     objective: float
     breakdown: C.CostBreakdown
+    flags: TransitionFlags = field(compare=False)  # of the move from the current placement
     nodes_explored: int
     wall_time: float  # deterministic work estimate: work units / NODES_PER_SECOND (1M per second)
     proof: str        # "optimal" | "time-capped" | "heuristic"
@@ -90,14 +91,14 @@ class _Terms:
     def energy(self, vms: np.ndarray, pms: np.ndarray) -> np.ndarray:
         """A[v][p] for index arrays `vms` and `pms` that broadcast together."""
         t = self.table
-        return t.ene_scale * (t.slope_wh[pms] * self.cpu[vms] + t.mig_wh[vms, pms])
+        return t.ene_scale * (t.slope_wh[pms] * self.cpu[vms] + t.move_wh(vms, pms))
 
     def value(self, hosts, A: list[list[float]] | None = None) -> float:
         """Objective of a complete assignment, summed in `vm_order` as the
         branch-and-bound carries its total.  Reads the full table `A` if the
         caller holds it, else computes the V entries it needs.  Matches
-        `costs.objective` up to float summation order; the value reported in
-        a SolveResult is always recomputed through `costs`."""
+        `costs.objective` up to float summation order, so it only ranks
+        placements; the value a SolveResult reports is priced by `_result`."""
         hosts = np.asarray(hosts, dtype=int)
         a = (self.energy(np.arange(len(hosts)), hosts).tolist() if A is None
              else [A[v][p] for v, p in enumerate(hosts.tolist())])
@@ -123,18 +124,25 @@ def _result(
     hosts: np.ndarray,
     dc: DatacenterState,
     weights: C.CostWeights,
-    params: C.ReliabilityParams,
-    mig_model: C.MigrationCostModel,
+    table: C.CostTable,
     nodes: int,
     proof: str,
     clock: float,
 ) -> SolveResult:
+    """The placement `hosts`, priced by `costs.price_transition` as
+    `costs.objective` prices it, from the same formulas and bit for bit,
+    but with the shutdown hours and bounds that `table` holds and with
+    flags derived once, which the result carries."""
     placement = Placement.from_hosts(hosts, dc.n_pms)
-    value, breakdown = C.objective(dc.current, placement, dc, weights, params, mig_model)
+    flags = derive_transition_flags(dc.current, placement, dc)
+    value, breakdown = C.price_transition(dc.current, placement, dc, weights, table.model, flags,
+                                          table.hours, table.c_ene_ub, table.c_rel_ub,
+                                          table.g_rel_ub)
     return SolveResult(
         placement=placement,
         objective=float(value),
         breakdown=breakdown,
+        flags=flags,
         nodes_explored=nodes,
         wall_time=nodes / NODES_PER_SECOND,
         proof=proof,
@@ -205,8 +213,7 @@ def solve_bruteforce(
     recurse(0)
     if best_hosts is None:
         raise C.InfeasibleError("no feasible assignment exists")
-    return _result(best_hosts, dc, weights, params, mig_model, nodes, "optimal",
-                   time.perf_counter() - t0)
+    return _result(best_hosts, dc, weights, terms.table, nodes, "optimal", time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +251,12 @@ def greedy_incumbent(
     mig_model: C.MigrationCostModel,
 ) -> SolveResult:
     """First-fit-decreasing on CPU demand, trying currently-online PMs first."""
-    # the exact path's check: coefficients that overflow raise CostRangeError
-    C.cost_table(dc, weights, params, mig_model)
+    # built before the packing, so coefficients that overflow raise CostRangeError first
+    table = C.cost_table(dc, weights, params, mig_model)
     hosts = _first_fit_decreasing(dc)
     if hosts is None:
         raise C.InfeasibleError("first-fit-decreasing found no feasible assignment")
-    return _result(hosts, dc, weights, params, mig_model, 0, "heuristic", 0.0)
+    return _result(hosts, dc, weights, table, 0, "heuristic", 0.0)
 
 
 def _seeds(dc: DatacenterState) -> list[np.ndarray]:
@@ -717,5 +724,5 @@ def solve_exact(
     hosts = search.best_hosts
     if hosts is None:
         hosts = min(_seeds(dc), key=terms.value)
-    return _result(np.asarray(hosts, dtype=int), dc, weights, params, mig_model, meter.used, proof,
+    return _result(np.asarray(hosts, dtype=int), dc, weights, terms.table, meter.used, proof,
                    time.perf_counter() - t0)

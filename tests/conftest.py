@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from relpack import costs as C
+from relpack import sim
 from relpack.domain import DatacenterState, Placement, PmSpec, RackSpec, VmSpec
 
 
@@ -51,6 +52,14 @@ def build_state(
     ]
     placement = Placement.from_hosts(hosts, n_pms)
     return DatacenterState(tuple(racks), tuple(pms), tuple(vms), placement)
+
+
+# scenario fleets with tiered and with spread disk counters
+FLEETS = {
+    "tiered": sim.Scenario(cycle_count_tiers=((8, 10), (8, 300), (16, 1200))),
+    "spread": sim.Scenario(n_racks=6, pms_per_rack=3, n_vms=30, cycle_count_base=500,
+                           cycle_count_spread=400),
+}
 
 
 def template_fleet_state(hosts: list[int], n_racks=2, pms_per_rack=2) -> DatacenterState:

@@ -10,7 +10,7 @@ from relpack import costs as C
 from relpack import sim
 from relpack.domain import Placement, all_utilizations, derive_transition_flags, validate_placement
 
-from conftest import build_state, random_tiny_instance, template_fleet_state
+from conftest import FLEETS, build_state, random_tiny_instance, template_fleet_state
 
 
 @pytest.fixture
@@ -236,13 +236,6 @@ class TestCostTable:
                    - t.gain_scale * g_rel)
             assert got == pytest.approx(value, rel=1e-9, abs=1e-12)
             assert t.gain == pytest.approx(t.gain_scale * t.rest, rel=1e-12)
-
-
-FLEETS = {
-    "tiered": sim.Scenario(cycle_count_tiers=((8, 10), (8, 300), (16, 1200))),
-    "spread": sim.Scenario(n_racks=6, pms_per_rack=3, n_vms=30, cycle_count_base=500,
-                           cycle_count_spread=400),
-}
 
 
 class TestShutdownExact:

@@ -37,6 +37,12 @@ class TestPlacement:
         assert a == b and hash(a) == hash(b)
         assert a != c
 
+    @pytest.mark.parametrize("hosts, vm", [([-1, 0], 0), ([0, 1, 3], 2)],
+                             ids=["negative", "past-the-last-pm"])
+    def test_from_hosts_rejects_a_host_that_is_not_a_pm(self, hosts, vm):
+        with pytest.raises(StructuralError, match=f"vm {vm}: host {hosts[vm]} "):
+            Placement.from_hosts(hosts, 3)
+
 
 class TestValidation:
     def test_valid_placement_no_violations(self, tiny_state):

@@ -1,11 +1,17 @@
 """Simulation harness tests: seeding, stepping, counters, tiers."""
+import collections
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
 from relpack import costs as C
+from relpack import domain as D
 from relpack import sim
+from relpack import solver as S
+
+from conftest import build_state
 
 
 def small_scenario(**kw):
@@ -139,3 +145,55 @@ class TestStepKeepsNoCache:
         assert first[1] == second[1]
         assert first[0].current == second[0].current
         assert first[0].pms == second[0].pms
+
+
+COUNTED = {C: ("shutdown_hours", "reliability_bounds", "energy_upper_bound"),
+           D: ("derive_transition_flags", "validate_placement")}
+
+
+def _count_calls(monkeypatch) -> collections.Counter:
+    """Count calls of the COUNTED functions, under every relpack module name
+    bound to each, and of `CostTable.move_wh`, which builds migration energies."""
+    calls = collections.Counter()
+    modules = [m for name, m in sys.modules.items() if name == "relpack" or name.startswith("relpack.")]
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for home, names in COUNTED.items():
+        for name in names:
+            original = getattr(home, name)
+            for mod in modules:
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counting(name, original))
+    monkeypatch.setattr(C.CostTable, "move_wh", counting("move_wh", C.CostTable.move_wh))
+    return calls
+
+
+class TestStepDerivesEachQuantityOnce:
+    @pytest.mark.parametrize("solver", ["exact", "greedy"])
+    def test_step_prices_its_decision_once(self, monkeypatch, solver):
+        """One step derives the shutdown hours, bounds and flags once, checks
+        the new placement at most twice (when it prices it and when it makes
+        it current), and the template program builds no migration table."""
+        sc = small_scenario(cycle_count_spread=40, solver=solver)
+        state = sim.build_datacenter(sc, seed=2)
+        calls = _count_calls(monkeypatch)
+        _, report = sim.step(state, sc)
+        assert report.proof == ("optimal" if solver == "exact" else "heuristic")
+        for name in ("shutdown_hours", "reliability_bounds", "energy_upper_bound",
+                     "derive_transition_flags"):
+            assert calls[name] == 1, name
+        assert calls["validate_placement"] <= 2
+        assert calls["move_wh"] == 0
+
+    def test_the_search_builds_the_migration_table(self, monkeypatch):
+        # mixed VM sizes take the branch-and-bound, which reads every V x P entry
+        state = build_state([2, 2], [(700.0, 900.0, 1.0), (300.0, 400.0, 0.5)], [0, 2])
+        mig = C.MigrationCostModel.from_layout(state)
+        calls = _count_calls(monkeypatch)
+        S.solve_exact(state, C.CostWeights(), C.ReliabilityParams(), mig, time_cap=1.0)
+        assert calls["move_wh"] >= 1

@@ -1,4 +1,6 @@
 """Solver tests: brute force vs both exact paths, determinism, budgets."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,10 +9,11 @@ from hypothesis import strategies as st
 from relpack import cli, milp, sim
 from relpack import costs as C
 from relpack import solver as S
-from relpack.domain import Placement, validate_placement
+from relpack.domain import Placement, all_utilizations, derive_transition_flags, validate_placement
 
 import lp_oracle
-from conftest import build_state, random_template_instance, random_tiny_instance, template_fleet_state
+from conftest import (FLEETS, build_state, random_template_instance, random_tiny_instance,
+                      template_fleet_state)
 
 
 def _setup(state, kappa=10.0, weights=None):
@@ -153,6 +156,76 @@ class TestTerms:
                     state, weights, params, mig,
                 )
                 assert fast == pytest.approx(exact, rel=1e-9, abs=1e-12)
+
+
+def _solve_path(path, state, weights, params, mig):
+    """The result of `path` on the instance, or None if the instance takes another path."""
+    template = S._slots_per_pm(state, S._Terms(state, weights, params, mig), mig) is not None
+    free = weights.alpha == 0.0 or mig.kappa == 0.0
+    if path in ("template", "free-migration", "cut-template"):
+        if not template or (path == "template" and free) or (path == "free-migration" and not free):
+            return None
+        cap = 1 / S.NODES_PER_SECOND if path == "cut-template" else 10.0
+        res = S.solve_exact(state, weights, params, mig, time_cap=cap)
+        # a program cut before it spent a unit found nothing: the fallback decides
+        return None if path == "cut-template" and res.nodes_explored else res
+    if path == "branch-and-bound":
+        return None if template else S.solve_exact(state, weights, params, mig, time_cap=10.0)
+    if path == "brute-force":
+        return S.solve_bruteforce(state, weights, params, mig)
+    try:
+        return S.greedy_incumbent(state, weights, params, mig)
+    except C.InfeasibleError:  # first-fit-decreasing can miss a packing of mixed VMs
+        return None
+
+
+class TestReportedValueIsTheReference:
+    """Every solver path prices its result from the cost table's shutdown
+    hours and bounds and from flags derived once; the value and every
+    component must still be `costs.objective`'s float, compared with `==`,
+    and the shutdown cost must be the scalar `pm_shutdown_cost` sum."""
+
+    @pytest.mark.parametrize("path", ["template", "free-migration", "branch-and-bound",
+                                      "brute-force", "greedy", "cut-template"])
+    def test_every_path_reports_costs_objective(self, path):
+        rng = np.random.default_rng(29)
+        draws = {"branch-and-bound": [random_tiny_instance],
+                 "brute-force": [random_template_instance, random_tiny_instance],
+                 "greedy": [random_template_instance, random_tiny_instance]}
+        draws = draws.get(path, [random_template_instance])
+        checked = 0
+        while checked < 25:
+            state, weights, params, mig = draws[checked % len(draws)](rng)
+            res = _solve_path(path, state, weights, params, mig)
+            if res is None:
+                continue
+            if path == "cut-template":
+                assert res.proof == "time-capped"
+            value, bd = C.objective(state.current, res.placement, state, weights, params, mig)
+            assert res.objective == value
+            for field in dataclasses.fields(bd):
+                assert getattr(res.breakdown, field.name) == getattr(bd, field.name), field.name
+            flags = derive_transition_flags(state.current, res.placement, state)
+            for name in ("f00", "f10", "x", "y"):
+                assert getattr(res.flags, name).tolist() == getattr(flags, name).tolist(), name
+            thetas = all_utilizations(state.current, state)
+            c_rel = weights.omega * sum(C.pm_shutdown_cost(pm, float(thetas[pm.id]), params)
+                                        for pm in state.pms if flags.f10[pm.id])
+            assert bd.c_rel == c_rel
+            checked += 1
+
+    @pytest.mark.parametrize("solver", ["exact", "greedy"])
+    @pytest.mark.parametrize("fleet", ["tiered", "spread"])
+    def test_fleet_steps_report_costs_objective(self, fleet, solver):
+        scenario = dataclasses.replace(FLEETS[fleet], solver=solver, time_cap=1.0)
+        for seed in range(3):
+            state = sim.build_datacenter(scenario, seed)
+            mig = sim.migration_model(scenario, state)
+            nxt, report = sim.step(state, scenario)
+            value, bd = C.objective(state.current, nxt.current, state, scenario.weights,
+                                    scenario.reliability, mig)
+            assert (report.objective, report.c_ene, report.c_rel, report.g_rel) == (
+                value, bd.c_ene, bd.c_rel, bd.g_rel)
 
 
 class TestSearchPins:
