@@ -304,22 +304,21 @@ def packing_floor(dc: DatacenterState) -> int:
 def reliability_bounds(
     dc: DatacenterState, weights: CostWeights, params: ReliabilityParams,
     hours: np.ndarray | None = None,
-) -> tuple[float, float, int]:
-    """(reliability-cost bound, reliability-gain bound, packing floor).
+) -> tuple[float, float]:
+    """(reliability-cost bound, reliability-gain bound).
 
-    At most |P| - floor PMs can be dark next slot; the cost bound charges the
-    most expensive such set (only PMs online now can incur a shutdown), the
-    gain bound credits all of them.  `hours` is `shutdown_hours(dc, params)`
-    if the caller holds it.
+    At most |P| - `packing_floor` PMs can be dark next slot; the cost bound
+    charges the most expensive such set (only PMs online now can incur a
+    shutdown), the gain bound credits all of them.  `hours` is
+    `shutdown_hours(dc, params)` if the caller holds it.
     """
-    floor = packing_floor(dc)
-    slots = max(dc.n_pms - floor, 0)
+    slots = max(dc.n_pms - packing_floor(dc), 0)
     if hours is None:
         hours = shutdown_hours(dc, params)
     shutdown_costs = sorted(hours[dc.online_now()].tolist(), reverse=True)
     c_rel_ub = weights.omega * sum(shutdown_costs[:slots])
     g_rel_ub = slots * weights.omega * weights.tau
-    return c_rel_ub, g_rel_ub, floor
+    return c_rel_ub, g_rel_ub
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +345,7 @@ def objective(
     with `price_transition`."""
     flags = derive_transition_flags(s_prev, s_next, dc)
     hours = shutdown_hours(dc, params)
-    c_rel_ub, g_rel_ub, _ = reliability_bounds(dc, weights, params, hours)
+    c_rel_ub, g_rel_ub = reliability_bounds(dc, weights, params, hours)
     return price_transition(s_prev, s_next, dc, weights, model, flags, hours,
                             energy_upper_bound(dc, weights, model), c_rel_ub, g_rel_ub)
 
@@ -453,7 +452,7 @@ def cost_table(
     tau = weights.tau
     hours = shutdown_hours(dc, params)
     c_ene_ub = energy_upper_bound(dc, weights, model)
-    c_rel_ub, g_rel_ub, _ = reliability_bounds(dc, weights, params, hours)
+    c_rel_ub, g_rel_ub = reliability_bounds(dc, weights, params, hours)
     gain_scale = _safe_ratio(weights.gamma, g_rel_ub)
     table = CostTable(
         c_ene_ub=c_ene_ub,

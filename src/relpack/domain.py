@@ -86,57 +86,55 @@ PACKED_RESOURCES = ("cpu", "ram")
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # "row-sum" or "capacity"
     subject: str
-    amount: float = 0.0
+    amount: float  # load past the capacity
 
     def __str__(self):
-        return f"{self.kind}: {self.subject} ({self.amount:g})"
+        return f"capacity: {self.subject} ({self.amount:g})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Placement:
-    """Binary VM-to-PM assignment matrix, rows = VMs, columns = PMs."""
+    """Each VM's host: `host[v]` is the id of the PM that runs VM v, one of
+    `range(n_pms)`.  `host` is a read-only `np.intp` copy of what it is
+    built from, and a host outside that range is rejected."""
 
-    assign: np.ndarray
+    host: np.ndarray
+    n_pms: int
 
     def __post_init__(self):
-        a = np.asarray(self.assign, dtype=np.int8)
-        a.setflags(write=False)
-        object.__setattr__(self, "assign", a)
+        host = np.array(self.host, dtype=np.intp)
+        if host.ndim != 1:
+            raise StructuralError(f"placement hosts must be one per VM, got shape {host.shape}")
+        bad = np.flatnonzero((host < 0) | (host >= self.n_pms))
+        if bad.size:
+            v = int(bad[0])
+            raise StructuralError(f"vm {v}: host {int(host[v])} is not a PM id in [0, {self.n_pms})")
+        host.setflags(write=False)
+        object.__setattr__(self, "host", host)
 
     @classmethod
     def from_hosts(cls, hosts: Iterable[int], n_pms: int) -> "Placement":
-        hosts = np.asarray(hosts if isinstance(hosts, np.ndarray) else list(hosts), dtype=np.intp)
-        bad = np.flatnonzero((hosts < 0) | (hosts >= n_pms))
-        if bad.size:
-            v = int(bad[0])
-            raise StructuralError(f"vm {v}: host {int(hosts[v])} is not a PM id in [0, {n_pms})")
-        a = np.zeros((len(hosts), n_pms), dtype=np.int8)
-        a[np.arange(len(hosts)), hosts] = 1
-        return cls(a)
+        return cls(hosts if isinstance(hosts, np.ndarray) else list(hosts), n_pms)
 
     @property
     def n_vms(self) -> int:
-        return self.assign.shape[0]
-
-    @property
-    def n_pms(self) -> int:
-        return self.assign.shape[1]
+        return len(self.host)
 
     def hosts(self) -> np.ndarray:
-        """Per-VM host index; only meaningful for row-sum-valid placements."""
-        return np.argmax(self.assign, axis=1)
+        """Per-VM host index, read-only."""
+        return self.host
 
     def pm_loads(self) -> np.ndarray:
         """Number of VMs hosted per PM."""
-        return self.assign.sum(axis=0)
+        return np.bincount(self.host, minlength=self.n_pms)
 
     def __eq__(self, other):
-        return isinstance(other, Placement) and np.array_equal(self.assign, other.assign)
+        return (isinstance(other, Placement) and self.n_pms == other.n_pms
+                and np.array_equal(self.host, other.host))
 
     def __hash__(self):
-        return hash(self.assign.tobytes())
+        return hash((self.n_pms, self.host.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -258,28 +256,21 @@ class DatacenterState:
 
 
 def validate_placement(p: Placement, dc: DatacenterState) -> list[Violation]:
-    """Check single-host rows and per-PM capacity; returns all violations found.
+    """Check per-PM capacity; returns all violations found.
 
-    Dimension mismatches raise StructuralError instead of being reported,
-    since a mis-shaped matrix has no per-row reading.
+    A placement for another fleet size raises StructuralError instead of
+    being reported.  Loads are summed in VM id order.
     """
-    if p.assign.ndim != 2 or p.assign.shape != (len(dc.vms), len(dc.pms)):
-        raise StructuralError(
-            f"placement shape {p.assign.shape} does not match ({len(dc.vms)}, {len(dc.pms)})"
-        )
+    if (p.n_vms, p.n_pms) != (len(dc.vms), len(dc.pms)):
+        raise StructuralError(f"placement of {p.n_vms} VMs on {p.n_pms} PMs does not match "
+                              f"({len(dc.vms)}, {len(dc.pms)})")
     out: list[Violation] = []
-    row_sums = p.assign.sum(axis=1)
-    for v in np.nonzero(row_sums != 1)[0]:
-        kind = "row-sum"
-        out.append(Violation(kind, f"vm {v} assigned to {int(row_sums[v])} PMs", float(row_sums[v])))
     for resource in PACKED_RESOURCES:
-        used = dc._demand[resource] @ p.assign
+        used = np.bincount(p.host, weights=dc._demand[resource], minlength=p.n_pms)
         cap = dc._capacity[resource]
         for j in np.nonzero(used > cap + 1e-9)[0]:
-            out.append(
-                Violation("capacity", f"pm {j} {resource} demand {used[j]:g} > capacity {cap[j]:g}",
-                          float(used[j] - cap[j]))
-            )
+            out.append(Violation(f"pm {j} {resource} demand {used[j]:g} > capacity {cap[j]:g}",
+                                 float(used[j] - cap[j])))
     return out
 
 
@@ -304,8 +295,8 @@ def derive_transition_flags(s_prev: Placement, s_next: Placement, dc: Datacenter
 
 
 def all_utilizations(p: Placement, dc: DatacenterState) -> np.ndarray:
-    """Per-PM CPU utilization vector."""
-    return (dc._demand["cpu"] @ p.assign) / dc._capacity["cpu"]
+    """Per-PM CPU utilization vector, loads summed in VM id order."""
+    return np.bincount(p.host, weights=dc._demand["cpu"], minlength=p.n_pms) / dc._capacity["cpu"]
 
 
 def _frozen(values: list, dtype) -> np.ndarray:

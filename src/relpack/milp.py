@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import costs as C
-from .domain import PACKED_RESOURCES, DatacenterState, Placement, derive_transition_flags
+from .domain import PACKED_RESOURCES, DatacenterState, Placement, StructuralError, derive_transition_flags
 
 
 @dataclass(frozen=True)
@@ -290,7 +290,8 @@ def assignment_for_placement(model: MilpModel, dc: DatacenterState, placement: P
     flags = derive_transition_flags(dc.current, placement, dc)
     n_bin, n_cont = len(model.binary_names), len(model.continuous_names)
     x = np.zeros(n_bin + n_cont)
-    x[:n_bin] = np.concatenate([placement.assign.ravel(), flags.x, flags.y, flags.f00, flags.f10])
+    x[np.arange(model.n_vms) * model.n_pms + placement.hosts()] = 1.0  # S, VM-major
+    x[model.n_vms * model.n_pms:n_bin] = np.concatenate([flags.x, flags.y, flags.f00, flags.f10])
     # each defining row reads `var - expr = const`; with var at 0 it holds -expr
     x[n_bin:] = model.rhs[-n_cont:] - model.row_values(x)[-n_cont:]
     return dict(zip(model.var_names, x.tolist()))
@@ -312,9 +313,15 @@ def check_assignment(model: MilpModel, values: dict[str, float], tol: float = 1e
 
 
 def decode_placement(model: MilpModel, values: dict[str, float]) -> Placement:
-    """Read the assignment matrix out of a solved variable vector."""
+    """Read the placement out of a solved variable vector; a VM whose S value
+    exceeds 0.5 on no PM or on several raises StructuralError."""
     s = np.array([values[n] for n in model.binary_names[:model.n_vms * model.n_pms]], dtype=float)
-    return Placement((s.reshape(model.n_vms, model.n_pms) > 0.5).astype(np.int8))
+    s = s.reshape(model.n_vms, model.n_pms) > 0.5
+    bad = np.flatnonzero(s.sum(axis=1) != 1)
+    if bad.size:
+        v = int(bad[0])
+        raise StructuralError(f"vm {v}: the solution puts it on {int(s[v].sum())} PMs, not one")
+    return Placement.from_hosts(s.argmax(axis=1), model.n_pms)
 
 
 # ---------------------------------------------------------------------------

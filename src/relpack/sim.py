@@ -16,7 +16,8 @@ from .domain import DatacenterState, Placement, PmSpec, RackSpec, VmSpec
 PM_BW_CAPACITY = 1000.0
 
 # Largest fleet a scenario may describe, in VM-to-PM cells, |P| x max(|V|, 1):
-# the placement, the cost table and the MILP all hold one entry per cell.
+# the MILP and the branch-and-bound's table A hold one entry per cell, while a
+# placement holds one host per VM.
 # Checked before anything is built; admits 320 PMs x 1200 VMs (384k cells).
 MAX_CELLS = 10**6
 

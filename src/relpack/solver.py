@@ -389,15 +389,14 @@ class _TemplateDP:
     migration is free (m = 0) no walk is needed; see `_solve_free`.
     """
 
-    def __init__(self, dc: DatacenterState, terms: _Terms, mig_model: C.MigrationCostModel,
-                 k: int):
+    def __init__(self, dc: DatacenterState, terms: _Terms, k: int):
         self.B, self.R, self.k, self.n_vms = terms.B, terms.R, k, dc.n_vms
         # objective cost of one VM-hop, as in the cost table's migration energy
-        self.m = terms.table.ene_scale * (mig_model.kappa * dc.vms[0].mem_gb) if dc.n_vms else 0.0
-        self.prev = dc.current.hosts().tolist()
+        self.m = terms.table.ene_scale * float(terms.table.hop_wh[0]) if dc.n_vms else 0.0
+        self.prev = terms.table.prev.tolist()
         self.loads = dc.current.pm_loads().tolist()
         self.rack_of = terms.rack_of
-        self.pod_of_rack = list(mig_model.pod_of_rack)
+        self.pod_of_rack = list(terms.table.model.pod_of_rack)
         rack_of_vm = dc.rack_of()[self.prev]
         self.rack_loads = np.bincount(rack_of_vm, minlength=dc.n_racks).tolist()
         self.pod_loads = np.bincount(np.asarray(self.pod_of_rack, dtype=int)[rack_of_vm],
@@ -713,7 +712,7 @@ def solve_exact(
     t0 = time.perf_counter()
     terms = _Terms(dc, weights, params, mig_model)
     k = _slots_per_pm(dc, terms, mig_model)
-    search = _BranchAndBound(dc, terms) if k is None else _TemplateDP(dc, terms, mig_model, k)
+    search = _BranchAndBound(dc, terms) if k is None else _TemplateDP(dc, terms, k)
     # a cap too large to count in units leaves the solve unbounded
     meter = _Meter(max(1, int(min(time_cap * NODES_PER_SECOND, 2.0**63))))
     try:

@@ -103,7 +103,7 @@ def test_03_normalization_bounds():
         params = sc.reliability
         mig = sim.migration_model(sc, state)
         ene_ub = C.energy_upper_bound(state, weights, mig)
-        rel_ub, gain_ub, _ = C.reliability_bounds(state, weights, params)
+        rel_ub, gain_ub = C.reliability_bounds(state, weights, params)
         instances += 1
         for _ in range(60):
             hosts = rng.integers(0, n_pms, size=n_vms)

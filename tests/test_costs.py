@@ -181,8 +181,8 @@ class TestBounds:
 
     def test_reliability_bounds_slots(self, default_weights, default_params):
         state = template_fleet_state([0, 1, 2])
-        c_ub, g_ub, floor = C.reliability_bounds(state, default_weights, default_params)
-        assert floor == 1
+        c_ub, g_ub = C.reliability_bounds(state, default_weights, default_params)
+        assert C.packing_floor(state) == 1
         # three slots may go dark; only three PMs are online to charge
         assert g_ub == pytest.approx(3 * 0.1902 * 0.5)
         per_pm = 0.1902 * C.pm_shutdown_cost(state.pms[0], 0.25, default_params)
@@ -221,7 +221,7 @@ class TestCostTable:
             flags = derive_transition_flags(state.current, nxt, state)
             t = C.cost_table(state, weights, params, mig)
             hosts = nxt.hosts()
-            hosted_cpu = state.demands("cpu") @ nxt.assign
+            hosted_cpu = np.bincount(hosts, weights=state.demands("cpu"), minlength=state.n_pms)
             pm_wh = float(flags.x @ (t.idle_wh + t.slope_wh * hosted_cpu))
             rack_wh = float(t.rack_wh @ flags.y)
             mig_wh = float(t.mig_wh[np.arange(state.n_vms), hosts].sum())
@@ -259,7 +259,7 @@ class TestShutdownExact:
         slots = state.n_pms - C.packing_floor(state)
         costs = sorted((C.pm_shutdown_cost(pm, float(thetas[pm.id]), params)
                         for pm in state.pms if online[pm.id]), reverse=True)
-        c_rel_ub, _, _ = C.reliability_bounds(state, weights, params)
+        c_rel_ub, _ = C.reliability_bounds(state, weights, params)
         assert c_rel_ub == weights.omega * sum(costs[:slots])
 
     def test_energy_bound_is_the_per_pm_sum(self):

@@ -7,7 +7,7 @@ import pytest
 
 from relpack import cli, milp, sim
 from relpack import costs as C
-from relpack.domain import Placement
+from relpack.domain import Placement, StructuralError
 
 import lp_oracle
 from conftest import build_state, template_fleet_state, random_tiny_instance
@@ -65,6 +65,16 @@ class TestLinearization:
         placement = Placement.from_hosts([1, 1, 3], tiny_state.n_pms)
         values = milp.assignment_for_placement(model, tiny_state, placement)
         assert milp.decode_placement(model, values) == placement
+
+    @pytest.mark.parametrize("var, value, vm, n", [("S_0_2", 1.0, 0, 2), ("S_1_1", 0.0, 1, 0)],
+                             ids=["two-hosts", "no-host"])
+    def test_decode_rejects_a_vm_not_on_one_pm(self, tiny_state, var, value, vm, n):
+        model, *_ = _model_for(tiny_state)
+        placement = Placement.from_hosts([1, 1, 3], tiny_state.n_pms)
+        values = milp.assignment_for_placement(model, tiny_state, placement)
+        values[var] = value
+        with pytest.raises(StructuralError, match=f"vm {vm}: the solution puts it on {n} PMs"):
+            milp.decode_placement(model, values)
 
     def test_infeasible_point_flagged(self, tiny_state):
         model, *_ = _model_for(tiny_state)
