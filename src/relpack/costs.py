@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -391,17 +392,30 @@ def price_transition(
 
 @dataclass(frozen=True)
 class CostTable:
-    """The objective's coefficients for one instance, unscaled: the objective
-    is ene_scale x (PM, rack and migration Wh) + rel_scale x shutdown dollars
-    - gain_scale x rest x dark PMs, and `gain` is the objective credit of one
-    dark PM.  The MILP and the branch-and-bound are both written from this
-    table.
+    """The objective's coefficients for one instance.
 
-    It also keeps the shutdown `hours` and the three bounds it is derived
-    from, and a solve prices its result with `price_transition` from these;
-    `objective` is the independent scalar reference, which derives its own
-    flags, hours and bounds from the same formulas.  `mig_wh` is built from
-    `hop_wh`, `prev` and `model` only when read.
+    Unscaled, the objective is ene_scale x (PM, rack and migration Wh) +
+    rel_scale x shutdown dollars - gain_scale x rest x dark PMs, and `gain`
+    is the objective credit of one dark PM.  The MILP is written from these
+    coefficients and the three scales.
+
+    The objective is linear in the assignment, PM, rack and transition
+    variables, so for a complete assignment `hosts`
+
+        objective = K + sum_v A[v][hosts[v]] + sum_{open p} B[p] + sum_{open r} R[r]
+
+    where `A` is the load-proportional and migration energy of a VM on a PM
+    (`energy`), `B` the cost of keeping a PM on (idle energy, minus the
+    shutdown cost it avoids and the rest credit it forgoes), `R` the energy
+    of an active rack, and `K` the objective of a fully dark fleet.  This
+    scaled form is what brute force and both exact paths read; K, B, R are
+    derived on first read, and B and R are lists because the exact paths
+    index them one scalar at a time.
+
+    The table also keeps the shutdown `hours` and the three bounds it is
+    derived from, and a solve prices its result with `price_transition`
+    from these; `objective` is the independent scalar reference, which
+    derives its own flags, hours and bounds from the same formulas.
     """
 
     c_ene_ub: float        # energy_upper_bound
@@ -419,7 +433,9 @@ class CostTable:
     hours: np.ndarray      # [p] shutdown_hours: lifetime hours lost by powering off
     hop_wh: np.ndarray     # [v] energy of moving VM v one hop, kappa x mem_gb
     prev: np.ndarray       # [v] current host of VM v
-    model: MigrationCostModel  # the layout the hops are counted on
+    cpu: np.ndarray        # [v] CPU demand of VM v
+    rack_of: tuple[int, ...]   # [p] rack of PM p in the fleet, which R is indexed by
+    model: MigrationCostModel  # the layout the hops are counted on; its racks may differ
 
     def move_wh(self, vms, pms) -> np.ndarray:
         """Energy of moving VMs `vms` from their current hosts to PMs `pms`,
@@ -429,9 +445,63 @@ class CostTable:
     @property
     def mig_wh(self) -> np.ndarray:
         """[v, p] energy of moving VM v from its current host to p, built on
-        each read: only the MILP, brute force and the branch-and-bound need
-        all of it."""
+        each read: only the MILP reads all of it; brute force and the
+        branch-and-bound build A through `energy`."""
         return self.move_wh(np.arange(len(self.prev))[:, None], np.arange(len(self.idle_wh)))
+
+    @cached_property
+    def stake(self) -> np.ndarray:
+        """[p] objective cost of powering PM p off; 0 if it is dark now."""
+        return self.rel_scale * self.shut
+
+    @cached_property
+    def B(self) -> list[float]:
+        return (self.ene_scale * self.idle_wh - self.stake + self.gain).tolist()
+
+    @cached_property
+    def R(self) -> list[float]:
+        return (self.ene_scale * self.rack_wh).tolist()
+
+    @cached_property
+    def K(self) -> float:
+        return float(self.stake.sum()) - self.gain * len(self.idle_wh)
+
+    @cached_property
+    def vm_order(self) -> list[int]:
+        """VM ids by decreasing CPU demand, then id: the order first-fit-decreasing
+        and the branch-and-bound place VMs in, and `value` sums in."""
+        cpu = self.cpu.tolist()
+        return sorted(range(len(cpu)), key=lambda v: (-cpu[v], v))
+
+    def energy(self, vms, pms) -> np.ndarray:
+        """A[v][p] for index arrays `vms` and `pms` that broadcast together."""
+        return self.ene_scale * (self.slope_wh[pms] * self.cpu[vms] + self.move_wh(vms, pms))
+
+    def value(self, hosts, A: list[list[float]] | None = None) -> float:
+        """Objective of a complete assignment, summed in `vm_order` as the
+        branch-and-bound carries its total.  Reads the full table `A` if the
+        caller holds it, else computes the V entries it needs.  Matches
+        `objective` up to float summation order, so it only ranks
+        placements; the value a solve reports is priced by `price_transition`."""
+        hosts = np.asarray(hosts, dtype=int)
+        a = (self.energy(np.arange(len(hosts)), hosts).tolist() if A is None
+             else [A[v][p] for v, p in enumerate(hosts.tolist())])
+        hosts = hosts.tolist()
+        B, R, rack_of = self.B, self.R, self.rack_of
+        pm_open = [False] * len(B)
+        rack_open = [False] * len(R)
+        cost = self.K
+        for v in self.vm_order:
+            p = hosts[v]
+            cost += a[v]
+            if not pm_open[p]:
+                pm_open[p] = True
+                cost += B[p]
+                r = rack_of[p]
+                if not rack_open[r]:
+                    rack_open[r] = True
+                    cost += R[r]
+        return cost
 
 
 # checked for finiteness, bounds first; `mig_wh` needs no check, since no
@@ -470,6 +540,8 @@ def cost_table(
         hours=hours,
         hop_wh=model.kappa * np.array([v.mem_gb for v in dc.vms]),
         prev=dc.current.hosts(),
+        cpu=dc.demands("cpu"),
+        rack_of=tuple(dc.rack_of().tolist()),
         model=model,
     )
     # a non-finite entry would silently zero a term's scale or poison the objective

@@ -97,19 +97,21 @@ class Violation:
 class Placement:
     """Each VM's host: `host[v]` is the id of the PM that runs VM v, one of
     `range(n_pms)`.  `host` is a read-only `np.intp` copy of what it is
-    built from, and a host outside that range is rejected."""
+    built from; a host outside that range, a fraction or a bool is rejected."""
 
     host: np.ndarray
     n_pms: int
 
     def __post_init__(self):
-        host = np.array(self.host, dtype=np.intp)
-        if host.ndim != 1:
-            raise StructuralError(f"placement hosts must be one per VM, got shape {host.shape}")
-        bad = np.flatnonzero((host < 0) | (host >= self.n_pms))
+        given = np.array(self.host)
+        if given.ndim != 1:
+            raise StructuralError(f"placement hosts must be one per VM, got shape {given.shape}")
+        host = given.astype(np.intp, copy=False)
+        # a fraction, or any bool, is not a PM id even where it casts to one
+        bad = np.flatnonzero((host < 0) | (host >= self.n_pms) | (host != given) | (given.dtype == bool))
         if bad.size:
             v = int(bad[0])
-            raise StructuralError(f"vm {v}: host {int(host[v])} is not a PM id in [0, {self.n_pms})")
+            raise StructuralError(f"vm {v}: host {given[v]} is not a PM id in [0, {self.n_pms})")
         host.setflags(write=False)
         object.__setattr__(self, "host", host)
 

@@ -9,13 +9,14 @@
 - Any other instance goes to a depth-first branch-and-bound over VM-to-PM
   assignments, seeded with the status quo and first-fit-decreasing.
 
-Both paths read the objective's terms from `_Terms` and spend deterministic
-work units on one `_Meter`, whose budget is derived from the time cap at a
-fixed calibrated rate, so a given instance always does exactly the same work,
-never more than the budget, regardless of wall clock or host speed.  On
-either path `optimal` is a proof and `time-capped` means the budget ran out
-first; `solve_exact` says what each path returns then.  `solve_bruteforce`
-is the enumeration oracle.
+Both paths, and brute force, read the objective's scaled linear form from
+`costs.CostTable`.  Both paths spend deterministic work units on one
+`_Meter`, whose budget is derived from the time cap at a fixed calibrated
+rate, so a given instance always does exactly the same work, never more
+than the budget, regardless of wall clock or host speed.  On either path
+`optimal` is a proof and `time-capped` means the budget ran out first;
+`solve_exact` says what each path returns then.  `solve_bruteforce` is the
+enumeration oracle.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -53,71 +53,6 @@ class SolveResult:
     wall_time: float  # deterministic work estimate: work units / NODES_PER_SECOND (1M per second)
     proof: str        # "optimal" | "time-capped" | "heuristic"
     clock_seconds: float = 0.0  # measured, informational only
-
-
-class _Terms:
-    """The objective of one instance as per-VM, per-PM and per-rack terms.
-
-    The objective is linear in the assignment, PM, rack and transition
-    variables, so for a complete assignment `hosts`
-
-        objective = K + sum_v A[v][hosts[v]] + sum_{open p} B[p] + sum_{open r} R[r]
-
-    where `A` is the load-proportional and migration energy of a VM on a PM
-    (`energy`), `B` the cost of keeping a PM on (idle energy, minus the
-    shutdown cost it avoids and the rest credit it forgoes), `R` the energy
-    of an active rack, and `K` the objective of a fully dark fleet.  All four
-    are derived here from `costs.cost_table`, the coefficients the MILP is
-    written from.  B and R are Python lists because the exact paths index
-    them one scalar at a time; only the searches that enumerate assignments
-    build all of A.
-    """
-
-    def __init__(self, dc: DatacenterState, weights: C.CostWeights,
-                 params: C.ReliabilityParams, mig_model: C.MigrationCostModel):
-        self.table = table = C.cost_table(dc, weights, params, mig_model)
-        self.cpu = dc.demands("cpu")
-        self.rack_of = dc.rack_of().tolist()
-        self.shut = table.rel_scale * table.shut  # shutdown cost of each PM, 0 if it is dark now
-        self.B = (table.ene_scale * table.idle_wh - self.shut + table.gain).tolist()
-        self.R = (table.ene_scale * table.rack_wh).tolist()
-        self.K = float(self.shut.sum()) - table.gain * dc.n_pms
-
-    @cached_property
-    def vm_order(self) -> list[int]:
-        """The branch-and-bound's placing order, which `value` sums in."""
-        return _by_cpu(self.cpu)
-
-    def energy(self, vms: np.ndarray, pms: np.ndarray) -> np.ndarray:
-        """A[v][p] for index arrays `vms` and `pms` that broadcast together."""
-        t = self.table
-        return t.ene_scale * (t.slope_wh[pms] * self.cpu[vms] + t.move_wh(vms, pms))
-
-    def value(self, hosts, A: list[list[float]] | None = None) -> float:
-        """Objective of a complete assignment, summed in `vm_order` as the
-        branch-and-bound carries its total.  Reads the full table `A` if the
-        caller holds it, else computes the V entries it needs.  Matches
-        `costs.objective` up to float summation order, so it only ranks
-        placements; the value a SolveResult reports is priced by `_result`."""
-        hosts = np.asarray(hosts, dtype=int)
-        a = (self.energy(np.arange(len(hosts)), hosts).tolist() if A is None
-             else [A[v][p] for v, p in enumerate(hosts.tolist())])
-        hosts = hosts.tolist()
-        B, R, rack_of = self.B, self.R, self.rack_of
-        pm_open = [False] * len(B)
-        rack_open = [False] * len(R)
-        cost = self.K
-        for v in self.vm_order:
-            p = hosts[v]
-            cost += a[v]
-            if not pm_open[p]:
-                pm_open[p] = True
-                cost += B[p]
-                r = rack_of[p]
-                if not rack_open[r]:
-                    rack_open[r] = True
-                    cost += R[r]
-        return cost
 
 
 def _result(
@@ -181,9 +116,9 @@ def solve_bruteforce(
     n_v, n_p = dc.n_vms, dc.n_pms
     if n_p**n_v > BRUTE_FORCE_LIMIT:
         raise ValueError(f"instance too large for enumeration: {n_p}^{n_v} assignments")
-    terms = _Terms(dc, weights, params, mig_model)
-    A = terms.energy(np.arange(n_v)[:, None], np.arange(n_p)).tolist()
-    cpu, ram = terms.cpu, dc.demands("ram")
+    table = C.cost_table(dc, weights, params, mig_model)
+    A = table.energy(np.arange(n_v)[:, None], np.arange(n_p)).tolist()
+    cpu, ram = table.cpu, dc.demands("ram")
     hosts = np.zeros(n_v, dtype=int)
     best_hosts: np.ndarray | None = None
     best = float("inf")
@@ -196,7 +131,7 @@ def solve_bruteforce(
         nonlocal best, best_hosts, nodes
         nodes += 1
         if v == n_v:
-            obj = terms.value(hosts, A)
+            obj = table.value(hosts, A)
             if obj < best - TIE_EPS:
                 best = obj
                 best_hosts = hosts.copy()
@@ -213,26 +148,21 @@ def solve_bruteforce(
     recurse(0)
     if best_hosts is None:
         raise C.InfeasibleError("no feasible assignment exists")
-    return _result(best_hosts, dc, weights, terms.table, nodes, "optimal", time.perf_counter() - t0)
+    return _result(best_hosts, dc, weights, table, nodes, "optimal", time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
 # greedy
 
 
-def _by_cpu(cpu: np.ndarray | list[float]) -> list[int]:
-    """VM ids by decreasing CPU demand, then id."""
-    return sorted(range(len(cpu)), key=lambda v: (-cpu[v], v))
-
-
-def _first_fit_decreasing(dc: DatacenterState) -> np.ndarray | None:
+def _first_fit_decreasing(dc: DatacenterState, table: C.CostTable) -> np.ndarray | None:
     """First-fit-decreasing on CPU demand, currently-online PMs first; None if it fails."""
     cpu, ram = dc.demands("cpu").tolist(), dc.demands("ram").tolist()
     cpu_rem, ram_rem = dc.capacities("cpu").tolist(), dc.capacities("ram").tolist()
     online = dc.online_now().tolist()
     pm_order = sorted(range(dc.n_pms), key=lambda p: (0 if online[p] else 1, p))
     hosts = [-1] * dc.n_vms
-    for v in _by_cpu(cpu):
+    for v in table.vm_order:
         for p in pm_order:
             if cpu[v] <= cpu_rem[p] + 1e-9 and ram[v] <= ram_rem[p] + 1e-9:
                 hosts[v] = p
@@ -253,16 +183,16 @@ def greedy_incumbent(
     """First-fit-decreasing on CPU demand, trying currently-online PMs first."""
     # built before the packing, so coefficients that overflow raise CostRangeError first
     table = C.cost_table(dc, weights, params, mig_model)
-    hosts = _first_fit_decreasing(dc)
+    hosts = _first_fit_decreasing(dc, table)
     if hosts is None:
         raise C.InfeasibleError("first-fit-decreasing found no feasible assignment")
     return _result(hosts, dc, weights, table, 0, "heuristic", 0.0)
 
 
-def _seeds(dc: DatacenterState) -> list[np.ndarray]:
+def _seeds(dc: DatacenterState, table: C.CostTable) -> list[np.ndarray]:
     """The status quo, and first-fit-decreasing if it packs and differs from it."""
     seeds = [dc.current.hosts()]
-    ffd = _first_fit_decreasing(dc)
+    ffd = _first_fit_decreasing(dc, table)
     if ffd is not None and not np.array_equal(ffd, seeds[0]):
         seeds.append(ffd)
     return seeds
@@ -286,7 +216,7 @@ def _slots(demand: float, capacity: float, n_vms: int) -> int:
     return k
 
 
-def _slots_per_pm(dc: DatacenterState, terms: _Terms, mig_model: C.MigrationCostModel) -> int | None:
+def _slots_per_pm(dc: DatacenterState, table: C.CostTable) -> int | None:
     """VM slots of every PM if `dc` is a fleet of one VM and one PM template, else None.
 
     One template means equal VM demands and memory, equal PM capacities and
@@ -295,10 +225,10 @@ def _slots_per_pm(dc: DatacenterState, terms: _Terms, mig_model: C.MigrationCost
     """
     if len({(v.cpu_demand, v.ram_demand, v.mem_gb) for v in dc.vms}) > 1:
         return None
-    if len({(p.cpu_capacity, p.ram_capacity) for p in dc.pms}) > 1 or len(set(terms.table.slope_wh.tolist())) > 1:
+    if len({(p.cpu_capacity, p.ram_capacity) for p in dc.pms}) > 1 or len(set(table.slope_wh.tolist())) > 1:
         return None
     # PM ids run rack by rack, and the migration layout is that of the racks
-    if terms.rack_of != sorted(terms.rack_of) or list(mig_model.rack_of) != terms.rack_of:
+    if list(table.rack_of) != sorted(table.rack_of) or table.model.rack_of != table.rack_of:
         return None
     if dc.n_vms == 0:
         return 0
@@ -389,31 +319,29 @@ class _TemplateDP:
     migration is free (m = 0) no walk is needed; see `_solve_free`.
     """
 
-    def __init__(self, dc: DatacenterState, terms: _Terms, k: int):
-        self.B, self.R, self.k, self.n_vms = terms.B, terms.R, k, dc.n_vms
+    def __init__(self, dc: DatacenterState, table: C.CostTable, k: int):
+        self.table, self.k, self.n_vms = table, k, dc.n_vms
         # objective cost of one VM-hop, as in the cost table's migration energy
-        self.m = terms.table.ene_scale * float(terms.table.hop_wh[0]) if dc.n_vms else 0.0
-        self.prev = terms.table.prev.tolist()
+        self.m = table.ene_scale * float(table.hop_wh[0]) if dc.n_vms else 0.0
         self.loads = dc.current.pm_loads().tolist()
-        self.rack_of = terms.rack_of
-        self.pod_of_rack = list(terms.table.model.pod_of_rack)
-        rack_of_vm = dc.rack_of()[self.prev]
+        pod_of_rack = table.model.pod_of_rack
+        rack_of_vm = dc.rack_of()[table.prev]
         self.rack_loads = np.bincount(rack_of_vm, minlength=dc.n_racks).tolist()
-        self.pod_loads = np.bincount(np.asarray(self.pod_of_rack, dtype=int)[rack_of_vm],
-                                     minlength=max(self.pod_of_rack, default=-1) + 1).tolist()
+        self.pod_loads = np.bincount(np.asarray(pod_of_rack, dtype=int)[rack_of_vm],
+                                     minlength=max(pod_of_rack, default=-1) + 1).tolist()
         self.best_hosts: list[int] | None = None
 
     def _tree(self, meter: _Meter) -> _Tree:
-        m, k, size = self.m, self.k, self.n_vms + 1
+        m, k, size, t = self.m, self.k, self.n_vms + 1, self.table
         racks: dict[int, list[_Tree]] = {}
         for p, n in enumerate(self.loads):
-            leaf = _Tree([m * n, self.B[p]][:size], pm=p)
-            racks.setdefault(self.rack_of[p], []).append(leaf)
+            leaf = _Tree([m * n, t.B[p]][:size], pm=p)
+            racks.setdefault(t.rack_of[p], []).append(leaf)
         pods: dict[int, list[_Tree]] = {}
         for r in sorted(racks):
-            n, R = self.rack_loads[r], self.R[r]
+            n, R = self.rack_loads[r], t.R[r]
             own = lambda j, n=n, R=R: (R if j > 0 else 0.0) + m * max(0, n - k * j)
-            pods.setdefault(self.pod_of_rack[r], []).append(_level(racks[r], own, size, meter))
+            pods.setdefault(t.model.pod_of_rack[r], []).append(_level(racks[r], own, size, meter))
         pod_trees = []
         for d in sorted(pods):
             own = lambda j, n=self.pod_loads[d]: m * max(0, n - k * j)
@@ -438,8 +366,8 @@ class _TemplateDP:
 
     def _cheapest(self, pms: list[int], r: int, rack_on: bool) -> list[float]:
         """[j] cheapest cost of keeping j more of `pms`, PMs of rack r, on."""
-        sums = itertools.accumulate(sorted(self.B[p] for p in pms))
-        return [0.0, *(sums if rack_on else (c + self.R[r] for c in sums))]
+        sums = itertools.accumulate(sorted(self.table.B[p] for p in pms))
+        return [0.0, *(sums if rack_on else (c + self.table.R[r] for c in sums))]
 
     def _solve_free(self, meter: _Meter) -> None:
         """Migration is free (m = 0), so the pod and excess terms vanish: an
@@ -450,7 +378,7 @@ class _TemplateDP:
         placement; it is built PM by PM, each kept on if the cheapest
         completion still reaches z*.  Needs PM ids to run rack by rack.
         """
-        size, rack_of = self.n_vms + 1, self.rack_of
+        size, rack_of, B, R = self.n_vms + 1, self.table.rack_of, self.table.B, self.table.R
         racks = [list(g) for _, g in itertools.groupby(range(len(rack_of)), rack_of.__getitem__)]
         # suffix[i][j]: cheapest j PMs of racks[i:]
         suffix = [[0.0]]
@@ -472,7 +400,7 @@ class _TemplateDP:
                     rest = self._cheapest(pms[n + 1:], r, True)
                     lo, hi = max(0, need - len(tail) + 1), min(need, len(rest) - 1)
                     meter.spend(max(1, hi - lo + 1))
-                    here = cost + self.B[p] + (0.0 if rack_on else self.R[r])
+                    here = cost + B[p] + (0.0 if rack_on else R[r])
                     after = min((rest[t] + tail[need - t] for t in range(lo, hi + 1)), default=math.inf)
                     if here + after <= limit:
                         chosen.append(p)
@@ -515,10 +443,10 @@ class _TemplateDP:
         it only when the mover's rack (pod) has more movers than spare slots
         and the host's rack (pod) more spare slots than movers.
         """
-        best, k, rack_of = self.best_hosts, self.k, self.rack_of
+        best, k, rack_of = self.best_hosts, self.k, self.table.rack_of
         n_racks = len(self.rack_loads)
         # node ids: rack r is r, pod d is n_racks + d
-        nodes = [(r, n_racks + d) for r, d in enumerate(self.pod_of_rack)]
+        nodes = [(r, n_racks + d) for r, d in enumerate(self.table.model.pod_of_rack)]
         movers = self.rack_loads + self.pod_loads
         spare = [0] * len(movers)
         free = {}
@@ -530,7 +458,7 @@ class _TemplateDP:
         avail = [q for q in opened if free[q]]
         tied = best is not None
         hosts = []
-        for v, h in enumerate(self.prev):
+        for v, h in enumerate(self.table.prev.tolist()):
             if h in free:
                 meter.spend(1)
                 host = h
@@ -569,30 +497,27 @@ class _TemplateDP:
 
 
 class _BranchAndBound:
-    """Depth-first search over hosts for the VMs in `vm_order`.
+    """Depth-first search over hosts for the VMs in the table's `vm_order`.
 
     Each node carries the objective `cost` of its partial assignment, read
-    from the terms, and the shutdown cost `stake` of the PMs not yet opened,
-    so a leaf and a bound cost O(1).  Each node entered is one unit of the
-    meter.
+    from the table's K, A, B and R, and the shutdown cost `stake` of the PMs
+    not yet opened, so a leaf and a bound cost O(1).  Each node entered is
+    one unit of the meter.
     """
 
-    def __init__(self, dc: DatacenterState, terms: _Terms):
-        self.dc, self.terms = dc, terms
-        t = terms.table
-        self.vm_order = terms.vm_order
-        self.A = terms.energy(np.arange(dc.n_vms)[:, None], np.arange(dc.n_pms)).tolist()
-        self.B, self.R, self.rack_of = terms.B, terms.R, terms.rack_of
-        self.shut = terms.shut.tolist()
+    def __init__(self, dc: DatacenterState, table: C.CostTable):
+        self.dc, self.table = dc, table
+        self.A = table.energy(np.arange(dc.n_vms)[:, None], np.arange(dc.n_pms)).tolist()
+        self.stake = table.stake.tolist()
         # fluid[d]: cheapest load energy of the VMs vm_order[d:], any host
-        fluid = (t.slope_wh.min() if dc.n_pms else 0.0) * terms.cpu[self.vm_order]
-        self.fluid = (t.ene_scale * np.append(np.cumsum(fluid[::-1])[::-1], 0.0)).tolist()
+        fluid = (table.slope_wh.min() if dc.n_pms else 0.0) * table.cpu[table.vm_order]
+        self.fluid = (table.ene_scale * np.append(np.cumsum(fluid[::-1])[::-1], 0.0)).tolist()
         self.online_prev = dc.online_now()
         self.meter: _Meter | None = None
         self.best = float("inf")
         self.best_hosts: np.ndarray | None = None
         self.n_vms = dc.n_vms
-        self.cpu, self.ram = terms.cpu.tolist(), dc.demands("ram").tolist()
+        self.cpu, self.ram = table.cpu.tolist(), dc.demands("ram").tolist()
         self.hosts = [0] * dc.n_vms
         self.counts = [0] * dc.n_pms
         self.rack_open = [0] * dc.n_racks
@@ -624,7 +549,7 @@ class _BranchAndBound:
         key = tuple(self.rack_open)
         order = self._orders.get(key)
         if order is None:
-            online, rack_of, rack_open = self.online_prev, self.rack_of, self.rack_open
+            online, rack_of, rack_open = self.online_prev, self.table.rack_of, self.rack_open
             order = sorted(
                 range(len(self.counts)),
                 key=lambda p: (0 if online[p] else 1, -rack_open[rack_of[p]], p),
@@ -638,9 +563,9 @@ class _BranchAndBound:
         Raises `_Budget` if the meter runs out first; `best_hosts` then
         holds the incumbent."""
         self.meter = meter
-        for hosts in _seeds(self.dc):
-            self.seed(hosts, self.terms.value(hosts, self.A))
-        self._dfs(0, self.terms.K, float(self.terms.shut.sum()), self._branch_order())
+        for hosts in _seeds(self.dc, self.table):
+            self.seed(hosts, self.table.value(hosts, self.A))
+        self._dfs(0, self.table.K, float(self.table.stake.sum()), self._branch_order())
 
     def _dfs(self, depth, cost, stake, order):
         # inline rather than `meter.spend(1)`, which is a call per node
@@ -657,7 +582,7 @@ class _BranchAndBound:
             return
         hosts, counts, rack_open = self.hosts, self.counts, self.rack_open
         cpu_rem, ram_rem = self.cpu_rem, self.ram_rem
-        v = self.vm_order[depth]
+        v = self.table.vm_order[depth]
         c, r, a = self.cpu[v], self.ram[v], self.A[v]
         for p in order:
             if c > cpu_rem[p] + 1e-9 or r > ram_rem[p] + 1e-9:
@@ -672,12 +597,12 @@ class _BranchAndBound:
             else:
                 # opening p changes the branch order below it
                 counts[p] = 1
-                k = self.rack_of[p]
+                k = self.table.rack_of[p]
                 rack_open[k] += 1
-                opened = cost + a[p] + self.B[p]
+                opened = cost + a[p] + self.table.B[p]
                 if rack_open[k] == 1:
-                    opened += self.R[k]
-                self._dfs(depth + 1, opened, stake - self.shut[p], self._branch_order())
+                    opened += self.table.R[k]
+                self._dfs(depth + 1, opened, stake - self.stake[p], self._branch_order())
                 rack_open[k] -= 1
                 counts[p] = 0
             cpu_rem[p] += c
@@ -710,9 +635,9 @@ def solve_exact(
     if not 0 < time_cap < float("inf"):
         raise ValueError("time_cap must be positive and finite")
     t0 = time.perf_counter()
-    terms = _Terms(dc, weights, params, mig_model)
-    k = _slots_per_pm(dc, terms, mig_model)
-    search = _BranchAndBound(dc, terms) if k is None else _TemplateDP(dc, terms, k)
+    table = C.cost_table(dc, weights, params, mig_model)
+    k = _slots_per_pm(dc, table)
+    search = _BranchAndBound(dc, table) if k is None else _TemplateDP(dc, table, k)
     # a cap too large to count in units leaves the solve unbounded
     meter = _Meter(max(1, int(min(time_cap * NODES_PER_SECOND, 2.0**63))))
     try:
@@ -722,6 +647,6 @@ def solve_exact(
         proof = "time-capped"
     hosts = search.best_hosts
     if hosts is None:
-        hosts = min(_seeds(dc), key=terms.value)
-    return _result(np.asarray(hosts, dtype=int), dc, weights, terms.table, meter.used, proof,
+        hosts = min(_seeds(dc, table), key=table.value)
+    return _result(np.asarray(hosts, dtype=int), dc, weights, table, meter.used, proof,
                    time.perf_counter() - t0)

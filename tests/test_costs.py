@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relpack import costs as C
-from relpack import sim
+from relpack import milp, sim
+from relpack import solver as S
 from relpack.domain import Placement, all_utilizations, derive_transition_flags, validate_placement
 
-from conftest import FLEETS, build_state, random_tiny_instance, template_fleet_state
+from conftest import (FLEETS, build_state, random_template_instance, random_tiny_instance,
+                      template_fleet_state)
 
 
 @pytest.fixture
@@ -236,6 +238,26 @@ class TestCostTable:
                    - t.gain_scale * g_rel)
             assert got == pytest.approx(value, rel=1e-9, abs=1e-12)
             assert t.gain == pytest.approx(t.gain_scale * t.rest, rel=1e-12)
+
+    @pytest.mark.parametrize("draw", [random_tiny_instance, random_template_instance],
+                             ids=["tiny", "template"])
+    def test_value_matches_costs_objective_and_milp(self, rng, draw):
+        """The scaled form K + A + B + R values a placement as `costs.objective`
+        and the MILP's objective row do."""
+        for _ in range(20):
+            state, weights, params, mig = draw(rng)
+            table = C.cost_table(state, weights, params, mig)
+            model = milp.build_model(state, weights, params, mig)
+            A = table.energy(np.arange(state.n_vms)[:, None], np.arange(state.n_pms)).tolist()
+            greedy = S.greedy_incumbent(state, weights, params, mig).placement.hosts()
+            for hosts in (state.current.hosts(), greedy):
+                fast = table.value(hosts)
+                assert table.value(hosts, A) == fast  # the full table reads the same entries
+                placement = Placement.from_hosts(hosts, state.n_pms)
+                exact, _ = C.objective(state.current, placement, state, weights, params, mig)
+                assert fast == pytest.approx(exact, rel=1e-9, abs=1e-12)
+                lin = milp.objective_value(model, milp.assignment_for_placement(model, state, placement))
+                assert fast == pytest.approx(lin, rel=0, abs=1e-9)
 
 
 class TestShutdownExact:

@@ -49,8 +49,9 @@ class TestPlacement:
         assert a != c
         assert a != Placement.from_hosts([0, 1], 3)  # same hosts, another fleet
 
-    @pytest.mark.parametrize("hosts, vm", [([-1, 0], 0), ([0, 1, 3], 2)],
-                             ids=["negative", "past-the-last-pm"])
+    @pytest.mark.parametrize("hosts, vm", [([-1, 0], 0), ([0, 1, 3], 2), ([0.7, 1.9], 0),
+                                           ([True, False], 0)],
+                             ids=["negative", "past-the-last-pm", "fractional", "bool"])
     def test_from_hosts_rejects_a_host_that_is_not_a_pm(self, hosts, vm):
         with pytest.raises(StructuralError, match=f"vm {vm}: host {hosts[vm]} "):
             Placement.from_hosts(hosts, 3)
@@ -60,7 +61,7 @@ class TestPlacement:
         lambda hosts, n: Placement(np.array(hosts), n),
         lambda hosts, n: Placement.from_hosts(np.array(hosts), n),
     ], ids=["init-list", "init-array", "from-array"])
-    @pytest.mark.parametrize("host", [-1, 3], ids=["minus-one", "n-pms"])
+    @pytest.mark.parametrize("host", [-1, 3, 0.5], ids=["minus-one", "n-pms", "fractional"])
     def test_every_constructor_rejects_a_host_that_is_not_a_pm(self, build, host):
         with pytest.raises(StructuralError, match=f"vm 1: host {host} "):
             build([0, host, 2], 3)

@@ -89,7 +89,7 @@ class TestBudget:
         state = build_state([2, 2], [(700.0, 900.0, 1.0), (300.0, 400.0, 0.5),
                                      (500.0, 600.0, 0.8), (900.0, 700.0, 1.5)], [0, 1, 2, 3])
         weights, params, mig = _setup(state)
-        assert S._slots_per_pm(state, S._Terms(state, weights, params, mig), mig) is None
+        assert S._slots_per_pm(state, C.cost_table(state, weights, params, mig)) is None
         cap = 3 / S.NODES_PER_SECOND
         res = S.solve_exact(state, weights, params, mig, time_cap=cap)
         assert res.proof == "time-capped"
@@ -132,35 +132,16 @@ class TestBound:
     def test_root_bound_admissible(self, rng):
         for _ in range(10):
             state, weights, params, mig = random_tiny_instance(rng)
-            terms = S._Terms(state, weights, params, mig)
-            bnb = S._BranchAndBound(state, terms)
-            root = bnb.node_bound(terms.K, terms.shut.sum(), 0)
+            table = C.cost_table(state, weights, params, mig)
+            bnb = S._BranchAndBound(state, table)
+            root = bnb.node_bound(table.K, table.stake.sum(), 0)
             best = S.solve_bruteforce(state, weights, params, mig).objective
             assert root <= best + 1e-9
 
 
-class TestTerms:
-    @pytest.mark.parametrize("draw", [random_tiny_instance, random_template_instance],
-                             ids=["tiny", "template"])
-    def test_value_matches_costs_objective(self, rng, draw):
-        for _ in range(20):
-            state, weights, params, mig = draw(rng)
-            terms = S._Terms(state, weights, params, mig)
-            A = terms.energy(np.arange(state.n_vms)[:, None], np.arange(state.n_pms)).tolist()
-            greedy = S.greedy_incumbent(state, weights, params, mig).placement.hosts()
-            for hosts in (state.current.hosts(), greedy):
-                fast = terms.value(hosts)
-                assert terms.value(hosts, A) == fast  # the full table reads the same entries
-                exact, _ = C.objective(
-                    state.current, Placement.from_hosts(hosts, state.n_pms),
-                    state, weights, params, mig,
-                )
-                assert fast == pytest.approx(exact, rel=1e-9, abs=1e-12)
-
-
 def _solve_path(path, state, weights, params, mig):
     """The result of `path` on the instance, or None if the instance takes another path."""
-    template = S._slots_per_pm(state, S._Terms(state, weights, params, mig), mig) is not None
+    template = S._slots_per_pm(state, C.cost_table(state, weights, params, mig)) is not None
     free = weights.alpha == 0.0 or mig.kappa == 0.0
     if path in ("template", "free-migration", "cut-template"):
         if not template or (path == "template" and free) or (path == "free-migration" and not free):
@@ -304,7 +285,7 @@ class TestTemplateProgram:
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force(self, seed):
         state, weights, params, mig = random_template_instance(np.random.default_rng(seed))
-        assert S._slots_per_pm(state, S._Terms(state, weights, params, mig), mig) is not None
+        assert S._slots_per_pm(state, C.cost_table(state, weights, params, mig)) is not None
         bf = S.solve_bruteforce(state, weights, params, mig)
         ex = S.solve_exact(state, weights, params, mig, time_cap=10.0)
         assert ex.proof == "optimal"
@@ -338,7 +319,7 @@ class TestTemplateProgram:
                                 weights=C.CostWeights(alpha=alpha, beta=1.0, gamma=1.0))
         state = sim.build_datacenter(scenario, seed)
         mig = sim.migration_model(scenario, state)
-        k = S._slots_per_pm(state, S._Terms(state, scenario.weights, scenario.reliability, mig), mig)
+        k = S._slots_per_pm(state, C.cost_table(state, scenario.weights, scenario.reliability, mig))
         res = S.solve_exact(state, scenario.weights, scenario.reliability, mig, time_cap=2.0)
         assert res.proof == "optimal"
         prev, hosts = state.current.hosts(), res.placement.hosts()
@@ -368,10 +349,10 @@ class TestTemplateProgram:
         weights, params, mig = _setup(state)
         res = S.solve_exact(state, weights, params, mig, time_cap=1 / S.NODES_PER_SECOND)
         assert (res.nodes_explored, res.proof) == (0, "time-capped")
-        terms = S._Terms(state, weights, params, mig)
+        table = C.cost_table(state, weights, params, mig)
         greedy = S.greedy_incumbent(state, weights, params, mig).placement.hosts()
-        want = min(terms.value(state.current.hosts()), terms.value(greedy))
-        assert terms.value(res.placement.hosts()) == want
+        want = min(table.value(state.current.hosts()), table.value(greedy))
+        assert table.value(res.placement.hosts()) == want
 
     def test_cut_tie_pass_returns_an_optimum(self):
         # two equal machines with one VM each: either one is optimal to keep
@@ -390,19 +371,19 @@ class TestTemplateProgram:
         for _ in range(10):
             state, weights, params, mig = random_tiny_instance(rng)
             if state.n_pms > 1 and state.n_vms > 1:
-                assert S._slots_per_pm(state, S._Terms(state, weights, params, mig), mig) is None
+                assert S._slots_per_pm(state, C.cost_table(state, weights, params, mig)) is None
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_incumbents_carry_their_objective(seed):
     """Every incumbent the B&B records, seeded or found at a leaf, is valued
-    at `_Terms.value` of its placement.  Every offered placement is
+    at the cost table's `value` of its placement.  Every offered placement is
     valid, none is seeded twice before the search starts, and a leaf is
     offered only when it replaces the incumbent.  Draws of one VM and one PM
     template go to the layout-tree program instead and are skipped."""
     state, weights, params, mig = random_tiny_instance(np.random.default_rng(seed))
-    assume(S._slots_per_pm(state, S._Terms(state, weights, params, mig), mig) is None)
+    assume(S._slots_per_pm(state, C.cost_table(state, weights, params, mig)) is None)
     gaps, seeded = [], []
     seed_fn = S._BranchAndBound.seed
 
@@ -412,7 +393,7 @@ def test_incumbents_carry_their_objective(seed):
             seeded.append(tuple(hosts))
         before = bnb.best_hosts
         seed_fn(bnb, hosts, obj)
-        gaps.append(abs(bnb.best - bnb.terms.value(bnb.best_hosts)))
+        gaps.append(abs(bnb.best - bnb.table.value(bnb.best_hosts)))
         if bnb.meter.used > 0:
             assert not np.array_equal(bnb.best_hosts, before)
 
