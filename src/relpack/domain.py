@@ -97,7 +97,8 @@ class Violation:
 class Placement:
     """Each VM's host: `host[v]` is the id of the PM that runs VM v, one of
     `range(n_pms)`.  `host` is a read-only `np.intp` copy of what it is
-    built from; a host outside that range, a fraction or a bool is rejected."""
+    built from; a host outside that range, a fraction, a NaN or infinity, or
+    a bool is rejected."""
 
     host: np.ndarray
     n_pms: int
@@ -106,7 +107,11 @@ class Placement:
         given = np.array(self.host)
         if given.ndim != 1:
             raise StructuralError(f"placement hosts must be one per VM, got shape {given.shape}")
-        host = given.astype(np.intp, copy=False)
+        if given.dtype.kind == "f":
+            # a float outside the id range (NaN and inf too) has no integer cast; -1 stands in
+            host = np.where((given >= 0) & (given < self.n_pms), given, -1).astype(np.intp)
+        else:
+            host = given.astype(np.intp, copy=False)
         # a fraction, or any bool, is not a PM id even where it casts to one
         bad = np.flatnonzero((host < 0) | (host >= self.n_pms) | (host != given) | (given.dtype == bool))
         if bad.size:

@@ -12,7 +12,10 @@ variables in their fixed order: S_v_p (VM-major), X_p, Y_r, F00_p, F10_p,
 then Epm_p, Erack, Emig, Crel and Grel.  `build_model` fills it one
 constraint family at a time with numpy blocks, and every row's columns are
 in strictly increasing variable order by construction, so the LP export
-writes rows straight from the arrays without sorting.
+writes rows straight from the arrays without sorting.  The V x P name
+families join a per-VM prefix to a per-PM suffix rather than format each
+cell.  The export formats each distinct coefficient once and picks every
+term's text by that value's rank among the distinct ones.
 """
 from __future__ import annotations
 
@@ -144,6 +147,12 @@ class _Rows:
                 np.concatenate(self.cols).astype(np.int64), np.concatenate(self.vals))
 
 
+def _grid_names(family: str, n_vms: int, n_pms: int) -> list[str]:
+    """`{family}_{v}_{p}` for every VM v and PM p, VM-major."""
+    suffixes = [str(p) for p in range(n_pms)]
+    return [prefix + s for prefix in [f"{family}_{v}_" for v in range(n_vms)] for s in suffixes]
+
+
 def build_model(
     dc: DatacenterState,
     weights: C.CostWeights,
@@ -163,7 +172,7 @@ def build_model(
 
     pms, vms, racks = range(n_p), range(n_v), range(n_r)
     binaries = (
-        [f"S_{v}_{p}" for v in vms for p in pms]
+        _grid_names("S", n_v, n_p)
         + [f"X_{p}" for p in pms]
         + [f"Y_{r}" for r in racks]
         + [f"F00_{p}" for p in pms]
@@ -190,7 +199,7 @@ def build_model(
              np.where(online, F00, F10)[:, None], 1.0)
 
     # a dark PM hosts nothing...
-    rows.add([f"dark_pm_empty_{v}_{p}" for v in vms for p in pms], "<=", 1.0,
+    rows.add(_grid_names("dark_pm_empty", n_v, n_p), "<=", 1.0,
              np.column_stack([S.ravel(), np.tile(F00, n_v), np.tile(F10, n_v)]), 1.0)
     # ...and an empty PM must be dark
     rows.add([f"empty_pm_dark_{p}" for p in pms], ">=", 1.0, np.column_stack([S.T, F00, F10]), 1.0)
@@ -335,20 +344,24 @@ def _num(v: float) -> str:
 
 
 def _formatted(values: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """(`_num` of each distinct value, index of each value's text)."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return [_num(v) for v in distinct.tolist()], inverse
+    """(`_num` of each distinct value, index of each value's text).
+
+    The index is each value's rank among the sorted distinct values, found by
+    binary search; a model has a handful of distinct coefficients, so this
+    costs far less than sorting the positions of every value.
+    """
+    distinct = np.unique(values)
+    return [_num(v) for v in distinct.tolist()], np.searchsorted(distinct, values)
 
 
-def _row_texts(indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, names: list[str]) -> list[str]:
-    """Each CSR row's nonzero terms as LP text, in column order; a row
-    without terms reads `0 <first variable>`."""
-    n_rows = len(indptr) - 1
+def _row_texts(indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, spaced: list[str]) -> list[str]:
+    """Each CSR row's nonzero terms as LP text, in column order, given each
+    variable's name after a space; a row without terms reads `0 <first
+    variable>`."""
     keep = vals != 0
-    row = np.repeat(np.arange(n_rows), np.diff(indptr))[keep]
+    kept = np.concatenate([[0], np.cumsum(keep)])  # nonzero terms ahead of each entry
+    starts, ends = kept[indptr[:-1]], kept[indptr[1:]]
     cols, vals = cols[keep], vals[keep]
-    ends = np.cumsum(np.bincount(row, minlength=n_rows))
-    starts = np.concatenate([[0], ends[:-1]])
     text, inverse = _formatted(np.abs(vals))
     # the text alternates coefficient and name pieces; a row's leading
     # coefficient drops its separator, and its sign too if positive
@@ -357,29 +370,30 @@ def _row_texts(indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, names: li
     pick[starts[starts < ends]] += 2
     pieces = np.empty(2 * len(cols), dtype=object)
     pieces[0::2] = forms[pick]
-    pieces[1::2] = np.array([" " + n for n in names], dtype=object)[cols]
+    pieces[1::2] = np.array(spaced, dtype=object)[cols]
     pieces = pieces.tolist()
-    empty = "0 " + names[0]
+    empty = "0" + spaced[0]
     return ["".join(pieces[2 * a:2 * b]) if a < b else empty for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 def export_lp(model: MilpModel) -> str:
     """Serialize to CPLEX LP format with a fixed variable and constraint order."""
-    names = model.var_names
+    spaced = [" " + name for name in model.var_names]
     # the objective is row 0, ahead of the constraint rows
     obj = np.flatnonzero(model.cost)
     texts = _row_texts(np.concatenate([[0], len(obj) + model.indptr]),
                        np.concatenate([obj, model.cols]),
-                       np.concatenate([model.cost[obj], model.vals]), names)
+                       np.concatenate([model.cost[obj], model.vals]), spaced)
     rhs_text, rhs_at = _formatted(model.rhs)
     lines = ["\\ server consolidation model", "Minimize", f" obj: {texts[0]}", "Subject To"]
     lines += [
         f" {name}: {text} {sense} {rhs_text[i]}"
         for name, text, sense, i in zip(model.row_names, texts[1:], model.senses, rhs_at.tolist())
     ]
+    n_bin = len(model.binary_names)
     lines.append("Bounds")
-    lines += [f" 0 <= {name}" for name in model.continuous_names]
+    lines += [" 0 <=" + name for name in spaced[n_bin:]]
     lines.append("Binary")
-    lines += [f" {name}" for name in model.binary_names]
+    lines += spaced[:n_bin]
     lines.append("End")
     return "\n".join(lines) + "\n"

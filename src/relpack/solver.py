@@ -156,18 +156,27 @@ def solve_bruteforce(
 
 
 def _first_fit_decreasing(dc: DatacenterState, table: C.CostTable) -> np.ndarray | None:
-    """First-fit-decreasing on CPU demand, currently-online PMs first; None if it fails."""
+    """First-fit-decreasing on CPU demand, currently-online PMs first; None if it fails.
+
+    A PM whose remaining CPU or RAM falls below the smallest demand of any VM
+    can take no further VM, so it leaves the scan list once it is that full.
+    Demands are fixed and remaining capacity only shrinks, so the packing is
+    the one a scan over every PM finds.
+    """
     cpu, ram = dc.demands("cpu").tolist(), dc.demands("ram").tolist()
     cpu_rem, ram_rem = dc.capacities("cpu").tolist(), dc.capacities("ram").tolist()
+    cpu_min, ram_min = min(cpu, default=0.0), min(ram, default=0.0)
     online = dc.online_now().tolist()
     pm_order = sorted(range(dc.n_pms), key=lambda p: (0 if online[p] else 1, p))
     hosts = [-1] * dc.n_vms
     for v in table.vm_order:
-        for p in pm_order:
+        for i, p in enumerate(pm_order):
             if cpu[v] <= cpu_rem[p] + 1e-9 and ram[v] <= ram_rem[p] + 1e-9:
                 hosts[v] = p
                 cpu_rem[p] -= cpu[v]
                 ram_rem[p] -= ram[v]
+                if cpu_min > cpu_rem[p] + 1e-9 or ram_min > ram_rem[p] + 1e-9:
+                    del pm_order[i]
                 break
         else:
             return None

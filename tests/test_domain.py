@@ -50,8 +50,9 @@ class TestPlacement:
         assert a != Placement.from_hosts([0, 1], 3)  # same hosts, another fleet
 
     @pytest.mark.parametrize("hosts, vm", [([-1, 0], 0), ([0, 1, 3], 2), ([0.7, 1.9], 0),
-                                           ([True, False], 0)],
-                             ids=["negative", "past-the-last-pm", "fractional", "bool"])
+                                           ([True, False], 0), ([float("nan"), 0], 0),
+                                           ([float("inf"), 0], 0)],
+                             ids=["negative", "past-the-last-pm", "fractional", "bool", "nan", "inf"])
     def test_from_hosts_rejects_a_host_that_is_not_a_pm(self, hosts, vm):
         with pytest.raises(StructuralError, match=f"vm {vm}: host {hosts[vm]} "):
             Placement.from_hosts(hosts, 3)

@@ -12,8 +12,8 @@ from relpack import solver as S
 from relpack.domain import Placement, all_utilizations, derive_transition_flags, validate_placement
 
 import lp_oracle
-from conftest import (FLEETS, build_state, random_template_instance, random_tiny_instance,
-                      template_fleet_state)
+from conftest import (FLEETS, _random_feasible_hosts, build_state, random_template_instance,
+                      random_tiny_instance, template_fleet_state)
 
 
 def _setup(state, kappa=10.0, weights=None):
@@ -126,6 +126,72 @@ class TestGreedy:
         loads = res.placement.pm_loads()
         assert (loads * 500.0 <= 2000.0 + 1e-9).all()
         assert res.placement.hosts().shape == (10,)
+
+
+def _first_fit_every_pm(dc, table):
+    """First-fit-decreasing that scans every PM for every VM, full ones too."""
+    cpu, ram = dc.demands("cpu").tolist(), dc.demands("ram").tolist()
+    cpu_rem, ram_rem = dc.capacities("cpu").tolist(), dc.capacities("ram").tolist()
+    online = dc.online_now().tolist()
+    pm_order = sorted(range(dc.n_pms), key=lambda p: (0 if online[p] else 1, p))
+    hosts = [-1] * dc.n_vms
+    for v in table.vm_order:
+        for p in pm_order:
+            if cpu[v] <= cpu_rem[p] + 1e-9 and ram[v] <= ram_rem[p] + 1e-9:
+                hosts[v] = p
+                cpu_rem[p] -= cpu[v]
+                ram_rem[p] -= ram[v]
+                break
+        else:
+            return None
+    return np.array(hosts, dtype=int)
+
+
+class TestFirstFit:
+    """`_first_fit_decreasing` drops a PM from its scan once no VM fits it;
+    it must pack exactly as a scan over every PM does."""
+
+    @staticmethod
+    def _both(state):
+        table = C.cost_table(state, *_setup(state))
+        ffd, ref = S._first_fit_decreasing(state, table), _first_fit_every_pm(state, table)
+        assert (ffd is None) == (ref is None)
+        if ffd is not None:
+            assert ffd.tolist() == ref.tolist()
+        return ffd
+
+    def test_a_pm_too_full_for_the_largest_vm_takes_a_smaller_one(self):
+        state = build_state([2], [(600.0, 100.0, 0.1), (600.0, 100.0, 0.1), (300.0, 100.0, 0.1)],
+                            [0, 1, 1], cpu_caps=[1000.0, 2000.0])
+        assert self._both(state).tolist() == [0, 1, 0]
+
+    def test_ram_minimum_is_over_all_vms(self):
+        # CPU order is 0, 1, 2; after VM 0, PM 0 has RAM for VM 1 but not VM 2
+        state = build_state([2], [(900.0, 800.0, 0.1), (500.0, 100.0, 0.1), (100.0, 500.0, 0.1)],
+                            [0, 1, 1], ram_caps=[1000.0, 1000.0])
+        assert self._both(state).tolist() == [0, 0, 1]
+
+    def test_a_packing_that_fails(self):
+        # 5+3+2 and 4+3+3 fit two PMs of 10; first fit puts 5 and 4 together
+        demands = [(c * 100.0, 100.0, 0.1) for c in (5, 4, 3, 3, 3, 2)]
+        state = build_state([2], demands, [0, 1, 1, 1, 0, 0], cpu_caps=[1000.0, 1000.0])
+        assert self._both(state) is None
+
+    def test_random_mixed_fleets(self, rng):
+        outcomes = set()
+        for _ in range(300):
+            n_pms, n_vms = int(rng.integers(1, 7)), int(rng.integers(1, 16))
+            cpu_caps = rng.choice([1000.0, 2000.0, 3000.0], n_pms).tolist()
+            ram_caps = rng.choice([800.0, 1500.0, 4000.0], n_pms).tolist()
+            demands = [(float(rng.choice([250.0, 500.0, 1000.0, rng.uniform(50, 900)])),
+                        float(rng.choice([306.0, 612.0, 1224.0, rng.uniform(50, 900)])), 0.5)
+                       for _ in range(n_vms)]
+            hosts = _random_feasible_hosts(rng, demands, cpu_caps, ram_caps)
+            if hosts is None:
+                continue
+            state = build_state([n_pms], demands, hosts, cpu_caps=cpu_caps, ram_caps=ram_caps)
+            outcomes.add(self._both(state) is None)
+        assert outcomes == {True, False}
 
 
 class TestBound:
