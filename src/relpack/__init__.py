@@ -20,7 +20,7 @@ from .domain import (
     derive_transition_flags,
     validate_placement,
 )
-from .milp import build_model, export_lp, model_stats
+from .milp import build_model, export_lp
 from .scenario import ScenarioError, load_scenario
 from .sim import Scenario, SlotReport, build_datacenter, run, step
 from .solver import SolveResult, greedy_incumbent, solve_bruteforce, solve_exact
@@ -50,7 +50,6 @@ __all__ = [
     "export_lp",
     "greedy_incumbent",
     "load_scenario",
-    "model_stats",
     "objective",
     "packing_floor",
     "run",

@@ -203,17 +203,14 @@ def _scaling_curves(out: Path, time_cap: float) -> int:
         n_vms = math.ceil(1.625 * n_pms)
         scenario = sim.Scenario(n_racks=n_racks, pms_per_rack=4, n_vms=n_vms,
                                 time_cap=time_cap)
-        state = sim.build_datacenter(scenario, seed=0)
-        mig = sim.migration_model(scenario, state)
-        model = milp.build_model(state, scenario.weights, scenario.reliability, mig)
-        stats = milp.model_stats(model)
-        _, report = sim.step(state, scenario)
+        n_binary, n_continuous, n_constraints = milp.expected_counts(n_vms, n_pms, n_racks)
+        _, report = sim.step(sim.build_datacenter(scenario, seed=0), scenario)
         lines.append(
-            f"{n_pms},{n_racks},{n_vms},{stats.n_binary},{stats.n_continuous},"
-            f"{stats.n_constraints},{report.nodes_explored},{report.wall_time:.6g}"
+            f"{n_pms},{n_racks},{n_vms},{n_binary},{n_continuous},"
+            f"{n_constraints},{report.nodes_explored},{report.wall_time:.6g}"
         )
-        curves["binary"].append(float(stats.n_binary))
-        curves["constraints"].append(float(stats.n_constraints))
+        curves["binary"].append(float(n_binary))
+        curves["constraints"].append(float(n_constraints))
         curves["wall"].append(report.wall_time)
     outputs.write_text(out / "scaling.csv", "\n".join(lines) + "\n")
     xs = [float(p) for p in SCALING_SIZES]

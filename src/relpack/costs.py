@@ -22,7 +22,9 @@ from .domain import (
 
 
 class InfeasibleError(ValueError):
-    """Aggregate demand exceeds aggregate capacity; no placement can exist."""
+    """No placement of the VMs fits the PMs.  A `DatacenterState` holds a
+    placement that fits, so only building the initial placement, or the
+    brute-force oracle on float rounding, can raise it."""
 
 
 class CostRangeError(ValueError):
@@ -155,8 +157,9 @@ def energy_components_wh(
     model: MigrationCostModel,
     flags: TransitionFlags,
 ) -> tuple[float, float, float]:
-    """(pm, rack, migration) slot energies in Wh."""
-    thetas = all_utilizations(s_next, dc).tolist()
+    """(pm, rack, migration) slot energies in Wh.  A PM that fits runs at
+    most at full load, so utilizations are capped at 1."""
+    thetas = np.minimum(all_utilizations(s_next, dc), 1.0).tolist()
     f00, f10 = flags.f00.tolist(), flags.f10.tolist()
     pm_wh = sum(
         pm_energy(pm, f00[pm.id], f10[pm.id], thetas[pm.id], weights.tau) for pm in dc.pms
@@ -295,8 +298,6 @@ def packing_floor(dc: DatacenterState) -> int:
     """Minimum number of PMs able to carry the total CPU demand."""
     cap = dc.capacities("cpu").max(initial=0.0)
     demand = dc.demands("cpu").sum()
-    if demand > dc.capacities("cpu").sum() + 1e-9:
-        raise InfeasibleError(f"total CPU demand {demand:g} exceeds total capacity")
     if cap <= 0 or demand <= 0:
         return 0
     return math.ceil(demand / cap - 1e-12)

@@ -83,6 +83,10 @@ class RackSpec:
 # resource types that participate in packing
 PACKED_RESOURCES = ("cpu", "ram")
 
+# The fit rule: a PM fits when its VMs' demands, summed in VM id order, are
+# at most its capacity + FIT_TOL, per packed resource.  Every fit test reads it.
+FIT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -263,7 +267,8 @@ class DatacenterState:
 
 
 def validate_placement(p: Placement, dc: DatacenterState) -> list[Violation]:
-    """Check per-PM capacity; returns all violations found.
+    """Check per-PM capacity by the fit rule (`FIT_TOL`); returns all
+    violations found.
 
     A placement for another fleet size raises StructuralError instead of
     being reported.  Loads are summed in VM id order.
@@ -275,7 +280,7 @@ def validate_placement(p: Placement, dc: DatacenterState) -> list[Violation]:
     for resource in PACKED_RESOURCES:
         used = np.bincount(p.host, weights=dc._demand[resource], minlength=p.n_pms)
         cap = dc._capacity[resource]
-        for j in np.nonzero(used > cap + 1e-9)[0]:
+        for j in np.nonzero(used > cap + FIT_TOL)[0]:
             out.append(Violation(f"pm {j} {resource} demand {used[j]:g} > capacity {cap[j]:g}",
                                  float(used[j] - cap[j])))
     return out

@@ -37,13 +37,6 @@ class Constraint:
     rhs: float
 
 
-@dataclass(frozen=True)
-class ModelStats:
-    n_binary: int
-    n_continuous: int
-    n_constraints: int
-
-
 @dataclass
 class MilpModel:
     """min cost @ x subject to, for each row i, A[i] @ x (sense[i]) rhs[i].
@@ -65,7 +58,6 @@ class MilpModel:
     vals: np.ndarray       # [entry] coefficient
     n_vms: int
     n_pms: int
-    n_racks: int
 
     @property
     def var_names(self) -> list[str]:
@@ -161,13 +153,6 @@ def build_model(
 ) -> MilpModel:
     """Assemble the full model for deciding the next slot's placement."""
     n_v, n_p, n_r = dc.n_vms, dc.n_pms, dc.n_racks
-
-    for resource in ("cpu", "ram"):
-        if dc.demands(resource).sum() > dc.capacities(resource).sum() + 1e-9:
-            raise C.InfeasibleError(f"aggregate {resource} demand exceeds capacity")
-        if n_v and dc.demands(resource).max() > dc.capacities(resource).max() + 1e-9:
-            raise C.InfeasibleError(f"some VM's {resource} demand fits on no PM")
-
     table = C.cost_table(dc, weights, params, mig_model)
 
     pms, vms, racks = range(n_p), range(n_v), range(n_r)
@@ -269,15 +254,6 @@ def build_model(
         vals=vals,
         n_vms=n_v,
         n_pms=n_p,
-        n_racks=n_r,
-    )
-
-
-def model_stats(model: MilpModel) -> ModelStats:
-    return ModelStats(
-        n_binary=len(model.binary_names),
-        n_continuous=len(model.continuous_names),
-        n_constraints=len(model.row_names),
     )
 
 

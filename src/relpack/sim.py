@@ -9,7 +9,7 @@ import numpy as np
 
 from . import costs as C
 from . import solver as S
-from .domain import DatacenterState, Placement, PmSpec, RackSpec, VmSpec
+from .domain import FIT_TOL, DatacenterState, Placement, PmSpec, RackSpec, VmSpec
 
 
 # every machine records this bandwidth (Mbps); no constraint reads it
@@ -167,11 +167,12 @@ def random_initial_placement(scenario: Scenario, rng: np.random.Generator) -> Pl
     cpu_rem = np.full(n_p, scenario.pm.cpu_capacity)
     ram_rem = np.full(n_p, scenario.pm.ram_capacity)
     hosts = np.full(n_v, -1, dtype=int)
+    tol = FIT_TOL
     for v in rng.permutation(n_v):
         start = int(rng.integers(n_p))
         for k in range(n_p):
             p = (start + k) % n_p
-            if cpu[v] <= cpu_rem[p] + 1e-9 and ram[v] <= ram_rem[p] + 1e-9:
+            if cpu[v] <= cpu_rem[p] + tol and ram[v] <= ram_rem[p] + tol:
                 hosts[v] = p
                 cpu_rem[p] -= cpu[v]
                 ram_rem[p] -= ram[v]

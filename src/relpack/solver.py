@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import costs as C
-from .domain import DatacenterState, Placement, TransitionFlags, derive_transition_flags
+from .domain import FIT_TOL, DatacenterState, Placement, TransitionFlags, derive_transition_flags
 
 # Deterministic work accounting: a "second" of cap buys this many work units
 # (B&B nodes, min-plus pairs, tie-pass host checks and walked PMs).  Calibrated
@@ -125,6 +125,7 @@ def solve_bruteforce(
     nodes = 0
     cpu_rem = dc.capacities("cpu")
     ram_rem = dc.capacities("ram")
+    tol = FIT_TOL
     t0 = time.perf_counter()
 
     def recurse(v: int):
@@ -137,7 +138,7 @@ def solve_bruteforce(
                 best_hosts = hosts.copy()
             return
         for p in range(n_p):
-            if cpu[v] <= cpu_rem[p] + 1e-9 and ram[v] <= ram_rem[p] + 1e-9:
+            if cpu[v] <= cpu_rem[p] + tol and ram[v] <= ram_rem[p] + tol:
                 hosts[v] = p
                 cpu_rem[p] -= cpu[v]
                 ram_rem[p] -= ram[v]
@@ -169,13 +170,14 @@ def _first_fit_decreasing(dc: DatacenterState, table: C.CostTable) -> np.ndarray
     online = dc.online_now().tolist()
     pm_order = sorted(range(dc.n_pms), key=lambda p: (0 if online[p] else 1, p))
     hosts = [-1] * dc.n_vms
+    tol = FIT_TOL
     for v in table.vm_order:
         for i, p in enumerate(pm_order):
-            if cpu[v] <= cpu_rem[p] + 1e-9 and ram[v] <= ram_rem[p] + 1e-9:
+            if cpu[v] <= cpu_rem[p] + tol and ram[v] <= ram_rem[p] + tol:
                 hosts[v] = p
                 cpu_rem[p] -= cpu[v]
                 ram_rem[p] -= ram[v]
-                if cpu_min > cpu_rem[p] + 1e-9 or ram_min > ram_rem[p] + 1e-9:
+                if cpu_min > cpu_rem[p] + tol or ram_min > ram_rem[p] + tol:
                     del pm_order[i]
                 break
         else:
@@ -189,12 +191,13 @@ def greedy_incumbent(
     params: C.ReliabilityParams,
     mig_model: C.MigrationCostModel,
 ) -> SolveResult:
-    """First-fit-decreasing on CPU demand, trying currently-online PMs first."""
+    """First-fit-decreasing on CPU demand, trying currently-online PMs first;
+    the current placement when first fit cannot pack the VMs."""
     # built before the packing, so coefficients that overflow raise CostRangeError first
     table = C.cost_table(dc, weights, params, mig_model)
     hosts = _first_fit_decreasing(dc, table)
     if hosts is None:
-        raise C.InfeasibleError("first-fit-decreasing found no feasible assignment")
+        hosts = dc.current.hosts()
     return _result(hosts, dc, weights, table, 0, "heuristic", 0.0)
 
 
@@ -213,14 +216,15 @@ def _seeds(dc: DatacenterState, table: C.CostTable) -> list[np.ndarray]:
 
 def _slots(demand: float, capacity: float, n_vms: int) -> int:
     """Most VMs of `demand` that fit `capacity`, at most `n_vms`.  A hair
-    stricter than the placement check's 1e-9, so every packing it admits
-    passes that check."""
+    stricter than the fit rule (half its `FIT_TOL`), so every packing it
+    admits passes the placement check."""
     if demand <= 0:
         return n_vms
+    tol = FIT_TOL / 2
     k = min(n_vms, int(min(capacity / demand, n_vms)))
-    while k < n_vms and (k + 1) * demand <= capacity + 5e-10:
+    while k < n_vms and (k + 1) * demand <= capacity + tol:
         k += 1
-    while k > 0 and k * demand > capacity + 5e-10:
+    while k > 0 and k * demand > capacity + tol:
         k -= 1
     return k
 
@@ -593,8 +597,9 @@ class _BranchAndBound:
         cpu_rem, ram_rem = self.cpu_rem, self.ram_rem
         v = self.table.vm_order[depth]
         c, r, a = self.cpu[v], self.ram[v], self.A[v]
+        tol = FIT_TOL
         for p in order:
-            if c > cpu_rem[p] + 1e-9 or r > ram_rem[p] + 1e-9:
+            if c > cpu_rem[p] + tol or r > ram_rem[p] + tol:
                 continue
             hosts[v] = p
             cpu_rem[p] -= c

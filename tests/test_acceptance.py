@@ -210,10 +210,9 @@ def test_07_model_size_counts():
         state = sim.build_datacenter(sc, seed=0)
         mig = sim.migration_model(sc, state)
         model = milp.build_model(state, sc.weights, sc.reliability, mig)
-        stats = milp.model_stats(model)
-        want = milp.expected_counts(n_vms, n_pms, n_racks)
-        assert (stats.n_binary, stats.n_continuous, stats.n_constraints) == want
-        sizes.append((n_pms, stats.n_binary, stats.n_constraints))
+        counts = (len(model.binary_names), len(model.continuous_names), len(model.row_names))
+        assert counts == milp.expected_counts(n_vms, n_pms, n_racks)
+        sizes.append((n_pms, counts[0], counts[2]))
     for (p0, b0, c0), (p1, b1, c1) in zip(sizes, sizes[1:]):
         ratio = p1 / p0
         assert b1 / b0 > ratio, "binary count must grow superlinearly in |P|"

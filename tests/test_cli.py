@@ -182,6 +182,21 @@ class TestSolve:
         out = tmp_path / "out"
         assert cli.main(["solve", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize("text", [
+        # each PM holds 4 VMs over its 2000 by 8e-10, within the fit rule's 1e-9
+        "racks: {count: 1, pms_per_rack: 2}\nvms: {count: 8, cpu: 500.0000000002}\n",
+        # a full PM of capacity 0.1 runs at a utilization just over 1
+        "racks: {count: 1, pms_per_rack: 3}\npm: {cpu_capacity: 0.1}\n"
+        "vms: {count: 2, cpu: 0.1000000009}\n",
+    ], ids=["fill-within-tolerance", "tiny-capacity"])
+    @pytest.mark.parametrize("export_lp", [False, True], ids=["solve", "export-lp"])
+    def test_a_fleet_that_fits_exits_ok(self, tmp_path, capsys, text, export_lp):
+        path = tmp_path / "full.yaml"
+        path.write_text(text)
+        argv = ["solve", "--scenario", str(path), "--out", str(tmp_path / "out")]
+        assert cli.main(argv + ["--export-lp"] * export_lp) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_time_cap_exit_code(self, tmp_path):
         path = tmp_path / "big.yaml"
         path.write_text("racks: {count: 4, pms_per_rack: 4}\nvms: {count: 25}\n")

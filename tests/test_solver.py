@@ -127,6 +127,36 @@ class TestGreedy:
         assert (loads * 500.0 <= 2000.0 + 1e-9).all()
         assert res.placement.hosts().shape == (10,)
 
+    def test_first_fit_failing_keeps_the_current_placement(self):
+        # first fit puts 400 and 400 together; 400+300+300 twice fits the two PMs
+        demands = [(c, 100.0, 0.5) for c in (400.0, 400.0, 300.0, 300.0, 300.0, 300.0)]
+        state = build_state([2], demands, [0, 1, 0, 0, 1, 1], cpu_caps=[1000.0, 1000.0])
+        weights, params, mig = _setup(state)
+        assert S._first_fit_decreasing(state, C.cost_table(state, weights, params, mig)) is None
+        res = S.greedy_incumbent(state, weights, params, mig)
+        assert (res.placement, res.proof) == (state.current, "heuristic")
+        assert res.objective == C.objective(state.current, state.current, state, weights, params, mig)[0]
+        assert S.solve_exact(state, weights, params, mig).placement.hosts().tolist() == [0, 1, 0, 0, 1, 1]
+
+
+class TestFillWithinFitTolerance:
+    """Two PMs of 2000 hold four VMs of 1000.0000000004: each PM is 8e-10
+    over its capacity, within the fit rule's tolerance, while the fleet's
+    total is 1.6e-9 over, past it.  The state validates, so every solver
+    path and the MILP take it."""
+
+    def test_every_path_takes_the_state(self):
+        state = build_state([2], [(1000.0000000004, 612.0, 0.612)] * 4, [0, 0, 1, 1])
+        weights, params, mig = _setup(state)
+        value, _ = C.objective(state.current, state.current, state, weights, params, mig)
+        for solve in (S.solve_exact, S.solve_bruteforce, S.greedy_incumbent):
+            res = solve(state, weights, params, mig)
+            assert res.placement == state.current
+            assert res.objective == value
+        model = milp.build_model(state, weights, params, mig)
+        point = milp.assignment_for_placement(model, state, state.current)
+        assert milp.check_assignment(model, point) == []
+
 
 def _first_fit_every_pm(dc, table):
     """First-fit-decreasing that scans every PM for every VM, full ones too."""
@@ -220,10 +250,7 @@ def _solve_path(path, state, weights, params, mig):
         return None if template else S.solve_exact(state, weights, params, mig, time_cap=10.0)
     if path == "brute-force":
         return S.solve_bruteforce(state, weights, params, mig)
-    try:
-        return S.greedy_incumbent(state, weights, params, mig)
-    except C.InfeasibleError:  # first-fit-decreasing can miss a packing of mixed VMs
-        return None
+    return S.greedy_incumbent(state, weights, params, mig)
 
 
 class TestReportedValueIsTheReference:
