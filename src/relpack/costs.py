@@ -12,6 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .domain import (
+    FIT_TOL,
     DatacenterState,
     Placement,
     PmSpec,
@@ -22,9 +23,8 @@ from .domain import (
 
 
 class InfeasibleError(ValueError):
-    """No placement of the VMs fits the PMs.  A `DatacenterState` holds a
-    placement that fits, so only building the initial placement, or the
-    brute-force oracle on float rounding, can raise it."""
+    """No placement of the VMs fits the PMs.  Only `sim.random_initial_placement`
+    raises it: every `DatacenterState` holds a placement that fits."""
 
 
 class CostRangeError(ValueError):
@@ -295,12 +295,12 @@ def _max_pm_power(dc: DatacenterState) -> float:
 
 
 def packing_floor(dc: DatacenterState) -> int:
-    """Minimum number of PMs able to carry the total CPU demand."""
+    """Fewest PMs able to carry the total CPU demand, each up to capacity + FIT_TOL."""
     cap = dc.capacities("cpu").max(initial=0.0)
     demand = dc.demands("cpu").sum()
     if cap <= 0 or demand <= 0:
         return 0
-    return math.ceil(demand / cap - 1e-12)
+    return math.ceil(demand / (cap + FIT_TOL) - 1e-12)
 
 
 def reliability_bounds(

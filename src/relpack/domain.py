@@ -83,9 +83,20 @@ class RackSpec:
 # resource types that participate in packing
 PACKED_RESOURCES = ("cpu", "ram")
 
-# The fit rule: a PM fits when its VMs' demands, summed in VM id order, are
-# at most its capacity + FIT_TOL, per packed resource.  Every fit test reads it.
+# The fit rule: a PM fits when its VMs' demands, added from 0.0 in VM id order,
+# are at most its capacity + FIT_TOL, per packed resource.  Every fit test reads it.
 FIT_TOL = 1e-9
+
+
+def fit_count(demand: float, capacity: float, limit: int) -> int:
+    """Most VMs of one `demand`, at most `limit`, that fit `capacity` by the fit
+    rule; equal addends make the order moot.  A `demand` <= 0 fits `limit`."""
+    if demand <= 0:
+        return limit
+    n, load = 0, demand
+    while n < limit and load <= capacity + FIT_TOL:
+        n, load = n + 1, load + demand
+    return n
 
 
 @dataclass(frozen=True)
@@ -271,7 +282,7 @@ def validate_placement(p: Placement, dc: DatacenterState) -> list[Violation]:
     violations found.
 
     A placement for another fleet size raises StructuralError instead of
-    being reported.  Loads are summed in VM id order.
+    being reported.  Loads are added from 0.0 in VM id order.
     """
     if (p.n_vms, p.n_pms) != (len(dc.vms), len(dc.pms)):
         raise StructuralError(f"placement of {p.n_vms} VMs on {p.n_pms} PMs does not match "

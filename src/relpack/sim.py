@@ -9,7 +9,7 @@ import numpy as np
 
 from . import costs as C
 from . import solver as S
-from .domain import FIT_TOL, DatacenterState, Placement, PmSpec, RackSpec, VmSpec
+from .domain import DatacenterState, Placement, PmSpec, RackSpec, VmSpec, fit_count
 
 
 # every machine records this bandwidth (Mbps); no constraint reads it
@@ -159,23 +159,21 @@ def build_datacenter(scenario: Scenario, seed: int | None = None) -> DatacenterS
 
 def random_initial_placement(scenario: Scenario, rng: np.random.Generator) -> Placement:
     """Uniform random feasible mapping: random host per VM with a first-fit
-    fallback scan.  Every VM is alike, so the scan fails only when every PM
-    is full, and no other draw could place the population."""
-    n_v, n_p = scenario.n_vms, scenario.n_pms
-    cpu = np.full(n_v, scenario.vm.cpu_demand)
-    ram = np.full(n_v, scenario.vm.ram_demand)
-    cpu_rem = np.full(n_p, scenario.pm.cpu_capacity)
-    ram_rem = np.full(n_p, scenario.pm.ram_capacity)
+    fallback scan.  Every VM is alike, so a PM holds `fit_count` of them, the
+    scan fails (`InfeasibleError`) only when every PM is full, and no other
+    draw could place the population."""
+    n_v, n_p, vm, pm = scenario.n_vms, scenario.n_pms, scenario.vm, scenario.pm
+    k = min(fit_count(vm.cpu_demand, pm.cpu_capacity, n_v),
+            fit_count(vm.ram_demand, pm.ram_capacity, n_v))
+    counts = [0] * n_p
     hosts = np.full(n_v, -1, dtype=int)
-    tol = FIT_TOL
     for v in rng.permutation(n_v):
         start = int(rng.integers(n_p))
-        for k in range(n_p):
-            p = (start + k) % n_p
-            if cpu[v] <= cpu_rem[p] + tol and ram[v] <= ram_rem[p] + tol:
+        for i in range(n_p):
+            p = (start + i) % n_p
+            if counts[p] < k:
                 hosts[v] = p
-                cpu_rem[p] -= cpu[v]
-                ram_rem[p] -= ram[v]
+                counts[p] += 1
                 break
         else:
             raise C.InfeasibleError("could not place the VM population")

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import costs as C
-from .domain import FIT_TOL, DatacenterState, Placement, TransitionFlags, derive_transition_flags
+from .domain import (FIT_TOL, PACKED_RESOURCES, DatacenterState, Placement, TransitionFlags,
+                     derive_transition_flags, fit_count, validate_placement)
 
 # Deterministic work accounting: a "second" of cap buys this many work units
 # (B&B nodes, min-plus pairs, tie-pass host checks and walked PMs).  Calibrated
@@ -102,6 +103,17 @@ class _Meter:
         self.used += units
 
 
+def _limits(dc: DatacenterState) -> list[list[float]]:
+    """Per-PM CPU and RAM capacity + FIT_TOL, which `validate_placement` holds loads to."""
+    return [(dc.capacities(r) + FIT_TOL).tolist() for r in PACKED_RESOURCES]
+
+
+def _fits(hosts, dc: DatacenterState, table: C.CostTable) -> bool:
+    """Whether the fit rule takes `hosts`, loaded in `table.vm_order` (always in id order)."""
+    return (table.vm_order == list(range(dc.n_vms))
+            or not validate_placement(Placement.from_hosts(hosts, dc.n_pms), dc))
+
+
 # ---------------------------------------------------------------------------
 # brute force oracle
 
@@ -118,14 +130,13 @@ def solve_bruteforce(
         raise ValueError(f"instance too large for enumeration: {n_p}^{n_v} assignments")
     table = C.cost_table(dc, weights, params, mig_model)
     A = table.energy(np.arange(n_v)[:, None], np.arange(n_p)).tolist()
-    cpu, ram = table.cpu, dc.demands("ram")
+    cpu, ram = table.cpu.tolist(), dc.demands("ram").tolist()
+    cpu_lim, ram_lim = _limits(dc)
+    cpu_load, ram_load = [0.0] * n_p, [0.0] * n_p
     hosts = np.zeros(n_v, dtype=int)
     best_hosts: np.ndarray | None = None
     best = float("inf")
     nodes = 0
-    cpu_rem = dc.capacities("cpu")
-    ram_rem = dc.capacities("ram")
-    tol = FIT_TOL
     t0 = time.perf_counter()
 
     def recurse(v: int):
@@ -138,17 +149,14 @@ def solve_bruteforce(
                 best_hosts = hosts.copy()
             return
         for p in range(n_p):
-            if cpu[v] <= cpu_rem[p] + tol and ram[v] <= ram_rem[p] + tol:
+            c, r = cpu_load[p], ram_load[p]
+            if c + cpu[v] <= cpu_lim[p] and r + ram[v] <= ram_lim[p]:
                 hosts[v] = p
-                cpu_rem[p] -= cpu[v]
-                ram_rem[p] -= ram[v]
+                cpu_load[p], ram_load[p] = c + cpu[v], r + ram[v]
                 recurse(v + 1)
-                cpu_rem[p] += cpu[v]
-                ram_rem[p] += ram[v]
+                cpu_load[p], ram_load[p] = c, r
 
     recurse(0)
-    if best_hosts is None:
-        raise C.InfeasibleError("no feasible assignment exists")
     return _result(best_hosts, dc, weights, table, nodes, "optimal", time.perf_counter() - t0)
 
 
@@ -157,32 +165,32 @@ def solve_bruteforce(
 
 
 def _first_fit_decreasing(dc: DatacenterState, table: C.CostTable) -> np.ndarray | None:
-    """First-fit-decreasing on CPU demand, currently-online PMs first; None if it fails.
+    """First-fit-decreasing on CPU demand, online PMs first; None if it fails or breaks the fit rule.
 
-    A PM whose remaining CPU or RAM falls below the smallest demand of any VM
+    A PM past its limit with the smallest CPU or RAM demand of any VM added
     can take no further VM, so it leaves the scan list once it is that full.
-    Demands are fixed and remaining capacity only shrinks, so the packing is
-    the one a scan over every PM finds.
+    Demands are fixed and loads only grow, so the packing is the one a scan
+    over every PM finds.
     """
     cpu, ram = dc.demands("cpu").tolist(), dc.demands("ram").tolist()
-    cpu_rem, ram_rem = dc.capacities("cpu").tolist(), dc.capacities("ram").tolist()
+    cpu_lim, ram_lim = _limits(dc)
+    cpu_load, ram_load = [0.0] * dc.n_pms, [0.0] * dc.n_pms
     cpu_min, ram_min = min(cpu, default=0.0), min(ram, default=0.0)
     online = dc.online_now().tolist()
     pm_order = sorted(range(dc.n_pms), key=lambda p: (0 if online[p] else 1, p))
     hosts = [-1] * dc.n_vms
-    tol = FIT_TOL
     for v in table.vm_order:
         for i, p in enumerate(pm_order):
-            if cpu[v] <= cpu_rem[p] + tol and ram[v] <= ram_rem[p] + tol:
+            c, r = cpu_load[p] + cpu[v], ram_load[p] + ram[v]
+            if c <= cpu_lim[p] and r <= ram_lim[p]:
                 hosts[v] = p
-                cpu_rem[p] -= cpu[v]
-                ram_rem[p] -= ram[v]
-                if cpu_min > cpu_rem[p] + tol or ram_min > ram_rem[p] + tol:
+                cpu_load[p], ram_load[p] = c, r
+                if c + cpu_min > cpu_lim[p] or r + ram_min > ram_lim[p]:
                     del pm_order[i]
                 break
         else:
             return None
-    return np.array(hosts, dtype=int)
+    return np.array(hosts, dtype=int) if _fits(hosts, dc, table) else None
 
 
 def greedy_incumbent(
@@ -214,27 +222,12 @@ def _seeds(dc: DatacenterState, table: C.CostTable) -> list[np.ndarray]:
 # one VM and one PM template: dynamic program over the layout tree
 
 
-def _slots(demand: float, capacity: float, n_vms: int) -> int:
-    """Most VMs of `demand` that fit `capacity`, at most `n_vms`.  A hair
-    stricter than the fit rule (half its `FIT_TOL`), so every packing it
-    admits passes the placement check."""
-    if demand <= 0:
-        return n_vms
-    tol = FIT_TOL / 2
-    k = min(n_vms, int(min(capacity / demand, n_vms)))
-    while k < n_vms and (k + 1) * demand <= capacity + tol:
-        k += 1
-    while k > 0 and k * demand > capacity + tol:
-        k -= 1
-    return k
-
-
 def _slots_per_pm(dc: DatacenterState, table: C.CostTable) -> int | None:
     """VM slots of every PM if `dc` is a fleet of one VM and one PM template, else None.
 
     One template means equal VM demands and memory, equal PM capacities and
-    load slopes, a migration layout on `dc`'s racks, and no PM holding more
-    VMs than its slots now.
+    load slopes, and a migration layout on `dc`'s racks.  Slots are the fewer of
+    `fit_count`'s for CPU and RAM, so the current placement, which fits, fills no more.
     """
     if len({(v.cpu_demand, v.ram_demand, v.mem_gb) for v in dc.vms}) > 1:
         return None
@@ -246,9 +239,8 @@ def _slots_per_pm(dc: DatacenterState, table: C.CostTable) -> int | None:
     if dc.n_vms == 0:
         return 0
     vm, pm = dc.vms[0], dc.pms[0]
-    k = min(_slots(vm.cpu_demand, pm.cpu_capacity, dc.n_vms),
-            _slots(vm.ram_demand, pm.ram_capacity, dc.n_vms))
-    return k if dc.current.pm_loads().max() <= k else None
+    return min(fit_count(vm.cpu_demand, pm.cpu_capacity, dc.n_vms),
+               fit_count(vm.ram_demand, pm.ram_capacity, dc.n_vms))
 
 
 class _Tree:
@@ -515,7 +507,7 @@ class _BranchAndBound:
     Each node carries the objective `cost` of its partial assignment, read
     from the table's K, A, B and R, and the shutdown cost `stake` of the PMs
     not yet opened, so a leaf and a bound cost O(1).  Each node entered is
-    one unit of the meter.
+    one unit of the meter.  A new incumbent must pass the fit rule (`_fits`).
     """
 
     def __init__(self, dc: DatacenterState, table: C.CostTable):
@@ -534,8 +526,8 @@ class _BranchAndBound:
         self.hosts = [0] * dc.n_vms
         self.counts = [0] * dc.n_pms
         self.rack_open = [0] * dc.n_racks
-        self.cpu_rem = dc.capacities("cpu").tolist()
-        self.ram_rem = dc.capacities("ram").tolist()
+        self.cpu_lim, self.ram_lim = _limits(dc)
+        self.cpu_load, self.ram_load = [0.0] * dc.n_pms, [0.0] * dc.n_pms
         self._orders: dict[tuple, list[int]] = {}
 
     def _beats(self, hosts, obj: float) -> bool:
@@ -588,22 +580,22 @@ class _BranchAndBound:
         meter.used += 1
         if depth == self.n_vms:
             # most leaves fail the cheap test, which skips a method call
-            if cost <= self.best + TIE_EPS and self._beats(self.hosts, cost):
+            if (cost <= self.best + TIE_EPS and self._beats(self.hosts, cost)
+                    and _fits(self.hosts, self.dc, self.table)):
                 self.seed(np.array(self.hosts, dtype=int), cost)
             return
         if self.node_bound(cost, stake, depth) > self.best + TIE_EPS:
             return
         hosts, counts, rack_open = self.hosts, self.counts, self.rack_open
-        cpu_rem, ram_rem = self.cpu_rem, self.ram_rem
+        cpu_load, ram_load, cpu_lim, ram_lim = self.cpu_load, self.ram_load, self.cpu_lim, self.ram_lim
         v = self.table.vm_order[depth]
         c, r, a = self.cpu[v], self.ram[v], self.A[v]
-        tol = FIT_TOL
         for p in order:
-            if c > cpu_rem[p] + tol or r > ram_rem[p] + tol:
+            c0, r0 = cpu_load[p], ram_load[p]
+            if c0 + c > cpu_lim[p] or r0 + r > ram_lim[p]:
                 continue
             hosts[v] = p
-            cpu_rem[p] -= c
-            ram_rem[p] -= r
+            cpu_load[p], ram_load[p] = c0 + c, r0 + r
             if counts[p]:
                 counts[p] += 1
                 self._dfs(depth + 1, cost + a[p], stake, order)
@@ -619,8 +611,7 @@ class _BranchAndBound:
                 self._dfs(depth + 1, opened, stake - self.stake[p], self._branch_order())
                 rack_open[k] -= 1
                 counts[p] = 0
-            cpu_rem[p] += c
-            ram_rem[p] += r
+            cpu_load[p], ram_load[p] = c0, r0
 
 
 def solve_exact(

@@ -188,7 +188,14 @@ class TestSolve:
         # a full PM of capacity 0.1 runs at a utilization just over 1
         "racks: {count: 1, pms_per_rack: 3}\npm: {cpu_capacity: 0.1}\n"
         "vms: {count: 2, cpu: 0.1000000009}\n",
-    ], ids=["fill-within-tolerance", "tiny-capacity"])
+        # five VMs sum to 3000 + 1e-9 on the one PM of 3000, within the fit rule
+        "racks: {count: 1, pms_per_rack: 1}\npm: {cpu_capacity: 3000}\n"
+        "vms: {count: 5, cpu: 600.0000000002}\n",
+        # full PMs 8e-10 over: the single-template program, proven well within the cap
+        "racks: {count: 8, pms_per_rack: 4}\nvms: {count: 128, cpu: 500.0000000002}\n"
+        "solver: {time_cap: 1}\n",
+    ], ids=["fill-within-tolerance", "tiny-capacity", "one-pm-within-tolerance",
+            "template-within-tolerance"])
     @pytest.mark.parametrize("export_lp", [False, True], ids=["solve", "export-lp"])
     def test_a_fleet_that_fits_exits_ok(self, tmp_path, capsys, text, export_lp):
         path = tmp_path / "full.yaml"

@@ -181,6 +181,18 @@ class TestBounds:
         )
         assert C.packing_floor(state) == 2
 
+    def test_packing_floor_fill_within_tolerance(self, default_weights, default_params):
+        """Six VMs of 1000.0000000004 fit three PMs of 2000 by the fit rule,
+        so the floor is 3 and one PM may go dark, as for VMs of 1000."""
+        over = build_state([2, 2], [(1000.0000000004, 612.0, 0.612)] * 6, [0, 0, 1, 1, 2, 2])
+        exact = build_state([2, 2], [(1000.0, 612.0, 0.612)] * 6, [0, 0, 1, 1, 2, 2])
+        assert C.packing_floor(over) == C.packing_floor(exact) == 3
+        bounds = C.reliability_bounds(over, default_weights, default_params)
+        # the shutdown hours read the utilization, a few ulps higher on the full PMs
+        assert bounds == pytest.approx(C.reliability_bounds(exact, default_weights, default_params),
+                                       rel=1e-12)
+        assert bounds == pytest.approx((243.36, 0.0951), abs=0.01)
+
     def test_reliability_bounds_slots(self, default_weights, default_params):
         state = template_fleet_state([0, 1, 2])
         c_ub, g_ub = C.reliability_bounds(state, default_weights, default_params)

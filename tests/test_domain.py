@@ -1,8 +1,11 @@
 """Data model unit tests: placements, validation, transition flags."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from relpack.domain import (
+    FIT_TOL,
     DatacenterState,
     Placement,
     PlacementError,
@@ -12,6 +15,7 @@ from relpack.domain import (
     VmSpec,
     all_utilizations,
     derive_transition_flags,
+    fit_count,
     validate_placement,
 )
 
@@ -84,6 +88,25 @@ class TestValidation:
         state5 = build_state([2, 2], [(500.0, 612.0, 0.612)] * 5, [0, 0, 0, 0, 1])
         out = validate_placement(Placement.from_hosts([0] * 5, 4), state5)
         assert [str(v) for v in out] == ["capacity: pm 0 cpu demand 2500 > capacity 2000 (500)"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(cap=st.floats(1.0, 1e5), j=st.integers(1, 12),
+           off=st.just(0.0) | st.floats(-2e-9, 2e-9), ulps=st.integers(-16, 16))
+    def test_fit_count_is_the_rule(self, cap, j, off, ulps):
+        """`fit_count` admits j VMs of one demand, drawn near where j of them
+        fill the PM to capacity + FIT_TOL, exactly when the placement check
+        takes j of them on one PM."""
+        d = (cap + FIT_TOL + off) / j * (1.0 + ulps * 2.0**-52)
+        assume(d > 0)
+        # PM 1 holds them all now, with room to spare
+        state = build_state([2], [(d, 1.0, 0.1)] * j, [1] * j, cpu_caps=[cap, 2 * cap + 1.0])
+        fits = validate_placement(Placement.from_hosts([0] * j, 2), state) == []
+        assert (fit_count(d, cap, j) >= j) == fits
+
+    def test_fit_count_limits(self):
+        assert fit_count(0.0, 100.0, 7) == 7
+        assert fit_count(30.0, 100.0, 7) == 3
+        assert fit_count(25.0, 100.0, 3) == 3
 
     def test_shape_mismatch_raises(self, tiny_state):
         with pytest.raises(StructuralError):

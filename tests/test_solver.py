@@ -157,20 +157,56 @@ class TestFillWithinFitTolerance:
         point = milp.assignment_for_placement(model, state, state.current)
         assert milp.check_assignment(model, point) == []
 
+    def test_five_fill_one_pm(self):
+        """Five VMs of 600.0000000002 sum to 3000 + 1e-9 on one PM of 3000,
+        within the fit rule, so one PM holds them all.  Counting slots from
+        a product, or subtracting remainders, kept both PMs on."""
+        state = build_state([2], [(600.0000000002, 612.0, 0.612)] * 5, [1, 1, 0, 0, 0],
+                            cpu_caps=[3000.0] * 2)
+        weights, params, mig = _setup(state)
+        ex = S.solve_exact(state, weights, params, mig)
+        bf = S.solve_bruteforce(state, weights, params, mig)
+        assert ex.proof == "optimal"
+        assert ex.placement == bf.placement
+        assert ex.placement.hosts().tolist() == [0] * 5
+        model = milp.build_model(state, weights, params, mig)
+        highs, _ = lp_oracle.solve_lp_text(milp.export_lp(model))
+        assert abs(ex.objective - highs) <= 1e-9
+        assert abs(bf.objective - highs) <= 1e-9
+
+    @pytest.mark.parametrize("demands, caps, hosts", [
+        # the six sum to 10240 within the tolerance in id order, past it in CPU order
+        ([2861.8676189059524, 1405.8990540790496, 1191.2204607357824, 1745.641101198785,
+          1766.0807983734421, 1269.2909667079887], 10240.0, [1, 1, 1, 0, 0, 0]),
+        # past it in id order, within it in CPU order
+        ([629.5586944995154, 695.8207589575261, 674.6205465439588], 2000.0, [1, 1, 0]),
+    ], ids=["fits-in-id-order", "fits-in-cpu-order"])
+    def test_mixed_fleet_packed_out_of_id_order(self, demands, caps, hosts):
+        """First fit and the branch-and-bound add VMs by decreasing CPU, so
+        their loads are not the fit rule's sums; every path must still
+        return a placement the rule takes."""
+        state = build_state([2], [(d, 100.0, 0.5) for d in demands], hosts, cpu_caps=[caps] * 2)
+        weights, params, mig = _setup(state)
+        for solve in (S.greedy_incumbent, S.solve_exact, S.solve_bruteforce):
+            assert validate_placement(solve(state, weights, params, mig).placement, state) == []
+
 
 def _first_fit_every_pm(dc, table):
-    """First-fit-decreasing that scans every PM for every VM, full ones too."""
+    """First-fit-decreasing that scans every PM for every VM, full ones too,
+    and adds loads as first fit does."""
     cpu, ram = dc.demands("cpu").tolist(), dc.demands("ram").tolist()
-    cpu_rem, ram_rem = dc.capacities("cpu").tolist(), dc.capacities("ram").tolist()
+    cpu_lim = (dc.capacities("cpu") + 1e-9).tolist()
+    ram_lim = (dc.capacities("ram") + 1e-9).tolist()
+    cpu_load, ram_load = [0.0] * dc.n_pms, [0.0] * dc.n_pms
     online = dc.online_now().tolist()
     pm_order = sorted(range(dc.n_pms), key=lambda p: (0 if online[p] else 1, p))
     hosts = [-1] * dc.n_vms
     for v in table.vm_order:
         for p in pm_order:
-            if cpu[v] <= cpu_rem[p] + 1e-9 and ram[v] <= ram_rem[p] + 1e-9:
+            if cpu_load[p] + cpu[v] <= cpu_lim[p] and ram_load[p] + ram[v] <= ram_lim[p]:
                 hosts[v] = p
-                cpu_rem[p] -= cpu[v]
-                ram_rem[p] -= ram[v]
+                cpu_load[p] += cpu[v]
+                ram_load[p] += ram[v]
                 break
         else:
             return None
