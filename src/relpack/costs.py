@@ -435,6 +435,7 @@ class CostTable:
     hop_wh: np.ndarray     # [v] energy of moving VM v one hop, kappa x mem_gb
     prev: np.ndarray       # [v] current host of VM v
     cpu: np.ndarray        # [v] CPU demand of VM v
+    vm_order: list[int]    # VM ids in the fit order, which `value` sums in
     rack_of: tuple[int, ...]   # [p] rack of PM p in the fleet, which R is indexed by
     model: MigrationCostModel  # the layout the hops are counted on; its racks may differ
 
@@ -466,13 +467,6 @@ class CostTable:
     @cached_property
     def K(self) -> float:
         return float(self.stake.sum()) - self.gain * len(self.idle_wh)
-
-    @cached_property
-    def vm_order(self) -> list[int]:
-        """VM ids by decreasing CPU demand, then id: the order first-fit-decreasing
-        and the branch-and-bound place VMs in, and `value` sums in."""
-        cpu = self.cpu.tolist()
-        return sorted(range(len(cpu)), key=lambda v: (-cpu[v], v))
 
     def energy(self, vms, pms) -> np.ndarray:
         """A[v][p] for index arrays `vms` and `pms` that broadcast together."""
@@ -542,6 +536,7 @@ def cost_table(
         hop_wh=model.kappa * np.array([v.mem_gb for v in dc.vms]),
         prev=dc.current.hosts(),
         cpu=dc.demands("cpu"),
+        vm_order=dc.fit_order(),
         rack_of=tuple(dc.rack_of().tolist()),
         model=model,
     )

@@ -83,8 +83,10 @@ class RackSpec:
 # resource types that participate in packing
 PACKED_RESOURCES = ("cpu", "ram")
 
-# The fit rule: a PM fits when its VMs' demands, added from 0.0 in VM id order,
-# are at most its capacity + FIT_TOL, per packed resource.  Every fit test reads it.
+# The fit rule: a PM fits when its VMs' demands, added from 0.0 in the fit order
+# (`DatacenterState.fit_order`), are at most its capacity + FIT_TOL, per packed
+# resource.  Every fit test reads it, and the searches place VMs in that order, so
+# the loads they carry are the rule's own sums.
 FIT_TOL = 1e-9
 
 
@@ -192,8 +194,10 @@ class DatacenterState:
     current: Placement
     slot_index: int = 0
     # built once from the specs, read-only: per-resource VM demands and PM
-    # capacities, and each PM's rack
+    # capacities, each PM's rack, the fit order and the demands in that order
     _demand: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    _order: np.ndarray = field(init=False, repr=False, compare=False)
+    _fit_demand: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
     _capacity: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
     _rack_of: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -210,21 +214,18 @@ class DatacenterState:
         for pm in self.pms:
             if owners.get(pm.id) != pm.rack_id:
                 raise StructuralError(f"pm {pm.id}: rack_id {pm.rack_id} inconsistent with rack layout")
-        for i, pm in enumerate(self.pms):
-            if pm.id != i:
-                raise StructuralError("PM ids must be dense 0-based indices in order")
-        for i, vm in enumerate(self.vms):
-            if vm.id != i:
-                raise StructuralError("VM ids must be dense 0-based indices in order")
-        for i, rack in enumerate(self.racks):
-            if rack.id != i:
-                raise StructuralError("rack ids must be dense 0-based indices in order")
+        for kind, specs in (("PM", self.pms), ("VM", self.vms), ("rack", self.racks)):
+            if any(spec.id != i for i, spec in enumerate(specs)):
+                raise StructuralError(f"{kind} ids must be dense 0-based indices in order")
         vms, pms = self.vms, self.pms
         object.__setattr__(self, "_demand", {"cpu": _frozen([v.cpu_demand for v in vms], float),
                                              "ram": _frozen([v.ram_demand for v in vms], float)})
         object.__setattr__(self, "_capacity", {"cpu": _frozen([p.cpu_capacity for p in pms], float),
                                                "ram": _frozen([p.ram_capacity for p in pms], float)})
         object.__setattr__(self, "_rack_of", _frozen([p.rack_id for p in pms], int))
+        order = _frozen(np.argsort(-self._demand["cpu"], kind="stable"), np.intp)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_fit_demand", {r: _frozen(d[order], float) for r, d in self._demand.items()})
         bad = validate_placement(self.current, self)
         if bad:
             raise PlacementError(f"current placement invalid: {bad[0]}")
@@ -248,6 +249,10 @@ class DatacenterState:
     def demands(self, resource: str) -> np.ndarray:
         """Per-VM demand of `resource`; a fresh array the caller may change."""
         return self._demand[resource].copy()
+
+    def fit_order(self) -> list[int]:
+        """VM ids by decreasing CPU demand, then id: the order the fit rule adds loads in."""
+        return self._order.tolist()
 
     def rack_of(self) -> np.ndarray:
         """Per-PM rack index."""
@@ -282,14 +287,14 @@ def validate_placement(p: Placement, dc: DatacenterState) -> list[Violation]:
     violations found.
 
     A placement for another fleet size raises StructuralError instead of
-    being reported.  Loads are added from 0.0 in VM id order.
+    being reported.  Loads are added from 0.0 in the fit order.
     """
     if (p.n_vms, p.n_pms) != (len(dc.vms), len(dc.pms)):
         raise StructuralError(f"placement of {p.n_vms} VMs on {p.n_pms} PMs does not match "
                               f"({len(dc.vms)}, {len(dc.pms)})")
     out: list[Violation] = []
     for resource in PACKED_RESOURCES:
-        used = np.bincount(p.host, weights=dc._demand[resource], minlength=p.n_pms)
+        used = _load(p, dc, resource)
         cap = dc._capacity[resource]
         for j in np.nonzero(used > cap + FIT_TOL)[0]:
             out.append(Violation(f"pm {j} {resource} demand {used[j]:g} > capacity {cap[j]:g}",
@@ -318,8 +323,13 @@ def derive_transition_flags(s_prev: Placement, s_next: Placement, dc: Datacenter
 
 
 def all_utilizations(p: Placement, dc: DatacenterState) -> np.ndarray:
-    """Per-PM CPU utilization vector, loads summed in VM id order."""
-    return np.bincount(p.host, weights=dc._demand["cpu"], minlength=p.n_pms) / dc._capacity["cpu"]
+    """Per-PM CPU utilization vector, loads added as the fit rule adds them."""
+    return _load(p, dc, "cpu") / dc._capacity["cpu"]
+
+
+def _load(p: Placement, dc: DatacenterState, resource: str) -> np.ndarray:
+    """Per-PM load of `resource`, added from 0.0 in the fit order (`bincount` sums in sequence)."""
+    return np.bincount(p.host[dc._order], weights=dc._fit_demand[resource], minlength=p.n_pms)
 
 
 def _frozen(values: list, dtype) -> np.ndarray:

@@ -58,14 +58,14 @@ def report_row(report: SlotReport, seed, weights: CostWeights) -> str:
     return ",".join(_fmt(f) for f in fields)
 
 
-def mean_row(reports: list[SlotReport], weights: CostWeights, label: str = "mean") -> str:
-    """`report_row` of the first report, with `label` as its seed and each
+def mean_row(reports: list[SlotReport], weights: CostWeights) -> str:
+    """`report_row` of the first report, with "mean" as its seed and each
     count and cost replaced by its mean over `reports`."""
     n = len(reports)
     means = {name: sum(getattr(r, name) for r in reports) / n
              for name in ("active_racks", "active_pms", "n_migrations", "c_ene", "c_rel",
                           "g_rel", "objective", "wall_time")}
-    return report_row(replace(reports[0], **means), label, weights)
+    return report_row(replace(reports[0], **means), "mean", weights)
 
 
 def write_report_csv(path: str | Path, rows: list[str]) -> None:

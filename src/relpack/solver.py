@@ -29,7 +29,7 @@ import numpy as np
 
 from . import costs as C
 from .domain import (FIT_TOL, PACKED_RESOURCES, DatacenterState, Placement, TransitionFlags,
-                     derive_transition_flags, fit_count, validate_placement)
+                     derive_transition_flags, fit_count)
 
 # Deterministic work accounting: a "second" of cap buys this many work units
 # (B&B nodes, min-plus pairs, tie-pass host checks and walked PMs).  Calibrated
@@ -108,10 +108,9 @@ def _limits(dc: DatacenterState) -> list[list[float]]:
     return [(dc.capacities(r) + FIT_TOL).tolist() for r in PACKED_RESOURCES]
 
 
-def _fits(hosts, dc: DatacenterState, table: C.CostTable) -> bool:
-    """Whether the fit rule takes `hosts`, loaded in `table.vm_order` (always in id order)."""
-    return (table.vm_order == list(range(dc.n_vms))
-            or not validate_placement(Placement.from_hosts(hosts, dc.n_pms), dc))
+def _beats(obj: float, hosts, best: float, best_hosts) -> bool:
+    """Better than the incumbent by more than TIE_EPS, or tied and lexicographically smaller."""
+    return obj < best - TIE_EPS or (obj <= best + TIE_EPS and tuple(hosts) < tuple(best_hosts))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +123,8 @@ def solve_bruteforce(
     params: C.ReliabilityParams,
     mig_model: C.MigrationCostModel,
 ) -> SolveResult:
-    """Enumerate every assignment in lexicographic order; ties keep the first."""
+    """Enumerate every assignment the fit rule takes, VMs in the fit order;
+    among objectives within TIE_EPS the smallest host list wins (`_beats`)."""
     n_v, n_p = dc.n_vms, dc.n_pms
     if n_p**n_v > BRUTE_FORCE_LIMIT:
         raise ValueError(f"instance too large for enumeration: {n_p}^{n_v} assignments")
@@ -139,21 +139,22 @@ def solve_bruteforce(
     nodes = 0
     t0 = time.perf_counter()
 
-    def recurse(v: int):
+    def recurse(depth: int):
         nonlocal best, best_hosts, nodes
         nodes += 1
-        if v == n_v:
+        if depth == n_v:
             obj = table.value(hosts, A)
-            if obj < best - TIE_EPS:
-                best = obj
+            if _beats(obj, hosts, best, best_hosts):
+                best = min(obj, best)
                 best_hosts = hosts.copy()
             return
+        v = table.vm_order[depth]
         for p in range(n_p):
             c, r = cpu_load[p], ram_load[p]
             if c + cpu[v] <= cpu_lim[p] and r + ram[v] <= ram_lim[p]:
                 hosts[v] = p
                 cpu_load[p], ram_load[p] = c + cpu[v], r + ram[v]
-                recurse(v + 1)
+                recurse(depth + 1)
                 cpu_load[p], ram_load[p] = c, r
 
     recurse(0)
@@ -165,7 +166,7 @@ def solve_bruteforce(
 
 
 def _first_fit_decreasing(dc: DatacenterState, table: C.CostTable) -> np.ndarray | None:
-    """First-fit-decreasing on CPU demand, online PMs first; None if it fails or breaks the fit rule.
+    """First-fit-decreasing on CPU demand (the fit order), online PMs first; None if it fails.
 
     A PM past its limit with the smallest CPU or RAM demand of any VM added
     can take no further VM, so it leaves the scan list once it is that full.
@@ -190,7 +191,7 @@ def _first_fit_decreasing(dc: DatacenterState, table: C.CostTable) -> np.ndarray
                 break
         else:
             return None
-    return np.array(hosts, dtype=int) if _fits(hosts, dc, table) else None
+    return np.array(hosts, dtype=int)
 
 
 def greedy_incumbent(
@@ -507,7 +508,8 @@ class _BranchAndBound:
     Each node carries the objective `cost` of its partial assignment, read
     from the table's K, A, B and R, and the shutdown cost `stake` of the PMs
     not yet opened, so a leaf and a bound cost O(1).  Each node entered is
-    one unit of the meter.  A new incumbent must pass the fit rule (`_fits`).
+    one unit of the meter.  Each PM's load is the fit rule's own sum, so a
+    host refused at some depth is refused at every leaf below it.
     """
 
     def __init__(self, dc: DatacenterState, table: C.CostTable):
@@ -530,14 +532,8 @@ class _BranchAndBound:
         self.cpu_load, self.ram_load = [0.0] * dc.n_pms, [0.0] * dc.n_pms
         self._orders: dict[tuple, list[int]] = {}
 
-    def _beats(self, hosts, obj: float) -> bool:
-        """Better than the incumbent by more than TIE_EPS, or tied and lexicographically smaller."""
-        return obj < self.best - TIE_EPS or (
-            obj <= self.best + TIE_EPS and tuple(hosts) < tuple(self.best_hosts)
-        )
-
     def seed(self, hosts: np.ndarray, obj: float):
-        if self._beats(hosts, obj):
+        if _beats(obj, hosts, self.best, self.best_hosts):
             self.best = min(obj, self.best)
             self.best_hosts = hosts.copy()
 
@@ -579,9 +575,8 @@ class _BranchAndBound:
             raise _Budget
         meter.used += 1
         if depth == self.n_vms:
-            # most leaves fail the cheap test, which skips a method call
-            if (cost <= self.best + TIE_EPS and self._beats(self.hosts, cost)
-                    and _fits(self.hosts, self.dc, self.table)):
+            # most leaves fail the cheap test, which skips a call
+            if cost <= self.best + TIE_EPS and _beats(cost, self.hosts, self.best, self.best_hosts):
                 self.seed(np.array(self.hosts, dtype=int), cost)
             return
         if self.node_bound(cost, stake, depth) > self.best + TIE_EPS:

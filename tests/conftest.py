@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from relpack import costs as C
 from relpack import sim
 from relpack.domain import DatacenterState, Placement, PmSpec, RackSpec, VmSpec
+
+# `pytest --hypothesis-profile=campaign` runs the long draws that CI runs
+settings.register_profile("campaign", max_examples=10_000, deadline=None)
 
 
 def build_state(

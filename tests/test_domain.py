@@ -200,17 +200,20 @@ class TestDerivedArrays:
         assert empty.pm_loads().tolist() == [0, 0, 0]
 
     def test_loads_are_summed_in_vm_order(self):
-        """Utilization and the capacity check sum each PM's demands in VM id
-        order: the same floats as a Python loop, compared with `==`."""
+        """Utilization and the capacity check sum each PM's demands in the fit
+        order, decreasing CPU and then id: the same floats as a Python loop,
+        compared with `==`."""
         cpu = [333.3, 100.1, 250.7, 199.9, 0.3, 66.6, 12.35, 7.77] * 2
         state = build_state([2, 2], [(c, 10.0, 0.5) for c in cpu], [v % 4 for v in range(16)],
                             cpu_caps=[1000.0] * 4)
         cap = state.capacities("cpu").tolist()
+        order = sorted(range(16), key=lambda v: (-cpu[v], v))
+        assert state.fit_order() == order
         overfilled = []
         for hosts in ([v % 4 for v in range(16)], [v % 2 for v in range(16)], [0] * 16):
             used = [0.0] * 4
-            for v, p in enumerate(hosts):
-                used[p] += cpu[v]
+            for v in order:
+                used[hosts[v]] += cpu[v]
             placement = Placement.from_hosts(hosts, 4)
             assert all_utilizations(placement, state).tolist() == [u / c for u, c in zip(used, cap)]
             over = [(f"pm {p} cpu", u - c) for p, (u, c) in enumerate(zip(used, cap)) if u > c + 1e-9]

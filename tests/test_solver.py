@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from relpack import cli, milp, sim
 from relpack import costs as C
 from relpack import solver as S
-from relpack.domain import Placement, all_utilizations, derive_transition_flags, validate_placement
+from relpack.domain import (FIT_TOL, Placement, all_utilizations, derive_transition_flags,
+                            validate_placement)
 
 import lp_oracle
 from conftest import (FLEETS, _random_feasible_hosts, build_state, random_template_instance,
@@ -174,29 +175,44 @@ class TestFillWithinFitTolerance:
         assert abs(ex.objective - highs) <= 1e-9
         assert abs(bf.objective - highs) <= 1e-9
 
-    @pytest.mark.parametrize("demands, caps, hosts", [
+    @pytest.mark.parametrize("demands, caps, hosts, counters, greedy", [
         # the six sum to 10240 within the tolerance in id order, past it in CPU order
         ([2861.8676189059524, 1405.8990540790496, 1191.2204607357824, 1745.641101198785,
-          1766.0807983734421, 1269.2909667079887], 10240.0, [1, 1, 1, 0, 0, 0]),
-        # past it in id order, within it in CPU order
-        ([629.5586944995154, 695.8207589575261, 674.6205465439588], 2000.0, [1, 1, 0]),
-    ], ids=["fits-in-id-order", "fits-in-cpu-order"])
-    def test_mixed_fleet_packed_out_of_id_order(self, demands, caps, hosts):
-        """First fit and the branch-and-bound add VMs by decreasing CPU, so
-        their loads are not the fit rule's sums; every path must still
-        return a placement the rule takes."""
-        state = build_state([2], [(d, 100.0, 0.5) for d in demands], hosts, cpu_caps=[caps] * 2)
+          1766.0807983734421, 1269.2909667079887], 10240.0, [1, 1, 1, 0, 0, 0], [100] * 2, None),
+        # past it in id order, within it in CPU order: first fit packs one PM
+        ([629.5586944995154, 695.8207589575261, 674.6205465439588], 2000.0, [1, 1, 0], [100] * 2,
+         [0, 0, 0]),
+        # the four sum to 3000 within the tolerance in id order, past it in CPU order
+        ([359.67530118235686, 460.8930129421663, 562.9123902183675, 1616.5192956581093], 3000.0,
+         [1, 1, 1, 2], [100, 900, 1400], None),
+        ([359.67530118235686, 460.8930129421663, 562.9123902183675, 1616.5192956581093], 3000.0,
+         [1, 1, 1, 2], [0] * 3, None),
+    ], ids=["fits-in-id-order", "fits-in-cpu-order", "four-spread-counters", "four-new-disks"])
+    def test_mixed_fleet_packed_out_of_id_order(self, demands, caps, hosts, counters, greedy):
+        """Mixed demands whose sums fall on opposite sides of the limit in id
+        and CPU order.  Every path adds loads in the fit order, so each returns
+        a placement the rule takes, and the exact path proves brute force's optimum."""
+        n_pms = len(counters)
+        state = build_state([n_pms], [(d, 100.0, 0.5) for d in demands], hosts,
+                            cpu_caps=[caps] * n_pms, cycle_counts=counters)
         weights, params, mig = _setup(state)
-        for solve in (S.greedy_incumbent, S.solve_exact, S.solve_bruteforce):
-            assert validate_placement(solve(state, weights, params, mig).placement, state) == []
+        gr, ex, bf = (solve(state, weights, params, mig)
+                      for solve in (S.greedy_incumbent, S.solve_exact, S.solve_bruteforce))
+        for res in (gr, ex, bf):
+            assert validate_placement(res.placement, state) == []
+        assert ex.proof == "optimal"
+        assert abs(ex.objective - bf.objective) <= 1e-9
+        assert ex.placement == bf.placement
+        if greedy is not None:
+            assert gr.placement.hosts().tolist() == greedy
 
 
 def _first_fit_every_pm(dc, table):
     """First-fit-decreasing that scans every PM for every VM, full ones too,
     and adds loads as first fit does."""
     cpu, ram = dc.demands("cpu").tolist(), dc.demands("ram").tolist()
-    cpu_lim = (dc.capacities("cpu") + 1e-9).tolist()
-    ram_lim = (dc.capacities("ram") + 1e-9).tolist()
+    cpu_lim = (dc.capacities("cpu") + FIT_TOL).tolist()
+    ram_lim = (dc.capacities("ram") + FIT_TOL).tolist()
     cpu_load, ram_load = [0.0] * dc.n_pms, [0.0] * dc.n_pms
     online = dc.online_now().tolist()
     pm_order = sorted(range(dc.n_pms), key=lambda p: (0 if online[p] else 1, p))
@@ -533,3 +549,49 @@ def test_incumbents_carry_their_objective(seed):
         S._BranchAndBound.seed = seed_fn
     assert gaps and max(gaps) <= 1e-9
     assert seeded and len(set(seeded)) == len(seeded)
+
+
+def _boundary_instance(rng: np.random.Generator):
+    """2-3 PMs and 3-6 VMs of CPU demand uniform on 50-1200, whose CPU limit
+    falls between one subset's sums in id order and in the fit order, from a
+    current placement with slack.  Returns (state, weights, params, mig)."""
+    while True:
+        n_pms, n_vms = int(rng.integers(2, 4)), int(rng.integers(3, 7))
+        cpu = rng.uniform(50, 1200, n_vms).tolist()
+        subset = sorted(rng.choice(n_vms, int(rng.integers(3, n_vms + 1)), replace=False).tolist())
+        lo, hi = sorted((sum(cpu[v] for v in subset),
+                         sum(cpu[v] for v in sorted(subset, key=lambda v: (-cpu[v], v)))))
+        cap = lo - FIT_TOL
+        if not lo <= cap + FIT_TOL < hi:
+            continue
+        loads, hosts = [0.0] * n_pms, []
+        for d in cpu:
+            room = [p for p in range(n_pms) if loads[p] + d <= cap * (1 - 1e-6)]
+            if not room:
+                break
+            p = int(rng.choice(room))
+            loads[p] += d
+            hosts.append(p)
+        if len(hosts) == n_vms:
+            break
+    layout = [[n_pms], [1, n_pms - 1]][int(rng.integers(2))]
+    state = build_state(layout, [(d, 100.0, 0.5) for d in cpu], hosts, cpu_caps=[cap] * n_pms,
+                        cycle_counts=rng.integers(0, 1501, n_pms).tolist())
+    weights = C.CostWeights(*rng.uniform(0, 1, 3).tolist())
+    return state, *_setup(state, kappa=float(rng.choice([0.0, 10.0, 150.0])), weights=weights)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(deadline=None)
+def test_exact_agrees_with_bruteforce_at_the_fit_limit(seed):
+    """Where a subset fits in one summation order and not in the other, the
+    exact path proves brute force's optimum, and every placement fits.  The
+    `campaign` profile runs 10,000 draws."""
+    state, weights, params, mig = _boundary_instance(np.random.default_rng(seed))
+    ex = S.solve_exact(state, weights, params, mig)
+    bf = S.solve_bruteforce(state, weights, params, mig)
+    assert ex.proof == "optimal"
+    assert abs(ex.objective - bf.objective) <= 1e-9
+    assert ex.placement == bf.placement
+    for res in (ex, S.greedy_incumbent(state, weights, params, mig)):
+        assert validate_placement(res.placement, state) == []
