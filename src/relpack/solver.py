@@ -6,8 +6,8 @@
   solved by a dynamic program over the layout tree: how many PMs each rack,
   pod and the root keep on.  A tie pass then picks the lexicographically
   smallest optimal placement.  No search.
-- Any other instance goes to a depth-first branch-and-bound over VM-to-PM
-  assignments, seeded with the status quo and first-fit-decreasing.
+- Any other instance goes to a depth-first branch-and-bound over VM hosts,
+  in first fit's PM order, seeded with the status quo and first fit.
 
 Both paths, and brute force, read the objective's scaled linear form from
 `costs.CostTable`.  Both paths spend deterministic work units on one
@@ -33,7 +33,8 @@ from .domain import (FIT_TOL, PACKED_RESOURCES, DatacenterState, Placement, Tran
 
 # Deterministic work accounting: a "second" of cap buys this many work units
 # (B&B nodes, min-plus pairs, tie-pass host checks and walked PMs).  Calibrated
-# on one core with the benchmark's instances: the B&B runs ~1M nodes/s.  The
+# on one core with the benchmark's instances.  The B&B runs ~2M nodes per CPU
+# second (mixed 8-16 PM fleets), so a cap-second buys ~0.5 s of its work.  The
 # template program runs 1.2M units/s (median of 36 paper instances, 16-32 PMs)
 # to 1.9M units/s (ten 64-PM fleets), so a cap-second buys 0.5-0.8 s of its
 # work there; large fleets spend units faster (3.7M/s at 320 PMs).
@@ -165,6 +166,11 @@ def solve_bruteforce(
 # greedy
 
 
+def _pm_order(dc: DatacenterState) -> list[int]:
+    """The PMs online now, then the others, each by id: the order first fit and the B&B scan."""
+    return np.argsort(~dc.online_now(), kind="stable").tolist()
+
+
 def _first_fit_decreasing(dc: DatacenterState, table: C.CostTable) -> np.ndarray | None:
     """First-fit-decreasing on CPU demand (the fit order), online PMs first; None if it fails.
 
@@ -177,8 +183,7 @@ def _first_fit_decreasing(dc: DatacenterState, table: C.CostTable) -> np.ndarray
     cpu_lim, ram_lim = _limits(dc)
     cpu_load, ram_load = [0.0] * dc.n_pms, [0.0] * dc.n_pms
     cpu_min, ram_min = min(cpu, default=0.0), min(ram, default=0.0)
-    online = dc.online_now().tolist()
-    pm_order = sorted(range(dc.n_pms), key=lambda p: (0 if online[p] else 1, p))
+    pm_order = _pm_order(dc)
     hosts = [-1] * dc.n_vms
     for v in table.vm_order:
         for i, p in enumerate(pm_order):
@@ -503,34 +508,26 @@ class _TemplateDP:
 
 
 class _BranchAndBound:
-    """Depth-first search over hosts for the VMs in the table's `vm_order`.
+    """Depth-first search over hosts for the VMs in the table's `vm_order`,
+    hosts tried in `_pm_order`, as one loop with an explicit stack.
 
-    Each node carries the objective `cost` of its partial assignment, read
-    from the table's K, A, B and R, and the shutdown cost `stake` of the PMs
-    not yet opened, so a leaf and a bound cost O(1).  Each node entered is
-    one unit of the meter.  Each PM's load is the fit rule's own sum, so a
-    host refused at some depth is refused at every leaf below it.
+    Each child entered carries the objective `cost` of its partial
+    assignment, read from the table's K, A, B and R, and the shutdown cost
+    `stake` of the PMs not yet opened, so a leaf and a bound cost O(1).  The
+    root and each child entered are one unit of the meter.  Each PM's load
+    is the fit rule's own sum, so a host refused at some depth is refused at
+    every leaf below it.
     """
 
     def __init__(self, dc: DatacenterState, table: C.CostTable):
         self.dc, self.table = dc, table
         self.A = table.energy(np.arange(dc.n_vms)[:, None], np.arange(dc.n_pms)).tolist()
-        self.stake = table.stake.tolist()
         # fluid[d]: cheapest load energy of the VMs vm_order[d:], any host
         fluid = (table.slope_wh.min() if dc.n_pms else 0.0) * table.cpu[table.vm_order]
         self.fluid = (table.ene_scale * np.append(np.cumsum(fluid[::-1])[::-1], 0.0)).tolist()
-        self.online_prev = dc.online_now()
         self.meter: _Meter | None = None
         self.best = float("inf")
         self.best_hosts: np.ndarray | None = None
-        self.n_vms = dc.n_vms
-        self.cpu, self.ram = table.cpu.tolist(), dc.demands("ram").tolist()
-        self.hosts = [0] * dc.n_vms
-        self.counts = [0] * dc.n_pms
-        self.rack_open = [0] * dc.n_racks
-        self.cpu_lim, self.ram_lim = _limits(dc)
-        self.cpu_load, self.ram_load = [0.0] * dc.n_pms, [0.0] * dc.n_pms
-        self._orders: dict[tuple, list[int]] = {}
 
     def seed(self, hosts: np.ndarray, obj: float):
         if _beats(obj, hosts, self.best, self.best_hosts):
@@ -545,68 +542,71 @@ class _BranchAndBound:
         """
         return cost - stake + self.fluid[depth]
 
-    def _branch_order(self) -> list[int]:
-        """Online PMs first, then PMs in racks with more open PMs, then by id."""
-        key = tuple(self.rack_open)
-        order = self._orders.get(key)
-        if order is None:
-            online, rack_of, rack_open = self.online_prev, self.table.rack_of, self.rack_open
-            order = sorted(
-                range(len(self.counts)),
-                key=lambda p: (0 if online[p] else 1, -rack_open[rack_of[p]], p),
-            )
-            self._orders[key] = order
-        return order
-
     def solve(self, meter: _Meter) -> None:
         """Leave the lexicographically smallest optimal placement in
         `best_hosts`, seeded with the status quo and first-fit-decreasing.
         Raises `_Budget` if the meter runs out first; `best_hosts` then
         holds the incumbent."""
+        dc, t, A = self.dc, self.table, self.A
         self.meter = meter
-        for hosts in _seeds(self.dc, self.table):
-            self.seed(hosts, self.table.value(hosts, self.A))
-        self._dfs(0, self.table.K, float(self.table.stake.sum()), self._branch_order())
-
-    def _dfs(self, depth, cost, stake, order):
-        # inline rather than `meter.spend(1)`, which is a call per node
-        meter = self.meter
-        if meter.used >= meter.budget:
-            raise _Budget
-        meter.used += 1
-        if depth == self.n_vms:
-            # most leaves fail the cheap test, which skips a call
-            if cost <= self.best + TIE_EPS and _beats(cost, self.hosts, self.best, self.best_hosts):
-                self.seed(np.array(self.hosts, dtype=int), cost)
+        for hosts in _seeds(dc, t):
+            self.seed(hosts, t.value(hosts, A))
+        n_vms, vm_order, rack_of, B, R = dc.n_vms, t.vm_order, t.rack_of, t.B, t.R
+        stake_of, order = t.stake.tolist(), _pm_order(dc)
+        cpu, ram = t.cpu.tolist(), dc.demands("ram").tolist()
+        cpu_lim, ram_lim = _limits(dc)
+        cpu_load, ram_load = [0.0] * dc.n_pms, [0.0] * dc.n_pms
+        hosts, counts, rack_open = [0] * n_vms, [0] * dc.n_pms, [0] * dc.n_racks
+        cost, stake = t.K, float(t.stake.sum())
+        meter.spend(1)  # the root
+        # with no VMs the status quo, already seeded, is the one placement
+        if n_vms == 0 or self.node_bound(cost, stake, 0) > self.best + TIE_EPS:
             return
-        if self.node_bound(cost, stake, depth) > self.best + TIE_EPS:
-            return
-        hosts, counts, rack_open = self.hosts, self.counts, self.rack_open
-        cpu_load, ram_load, cpu_lim, ram_lim = self.cpu_load, self.ram_load, self.cpu_lim, self.ram_lim
-        v = self.table.vm_order[depth]
-        c, r, a = self.cpu[v], self.ram[v], self.A[v]
-        for p in order:
-            c0, r0 = cpu_load[p], ram_load[p]
-            if c0 + c > cpu_lim[p] or r0 + r > ram_lim[p]:
-                continue
-            hosts[v] = p
-            cpu_load[p], ram_load[p] = c0 + c, r0 + r
-            if counts[p]:
-                counts[p] += 1
-                self._dfs(depth + 1, cost + a[p], stake, order)
+        # stack[d]: how the node at depth d + 1 was entered, as (the position
+        # in `order` to resume depth d at, its host, the host's loads before
+        # it, and the cost and stake at depth d)
+        stack: list[tuple] = []
+        depth, start = 0, 0
+        while True:
+            v = vm_order[depth]
+            c, r, a, leaf = cpu[v], ram[v], A[v], depth + 1 == n_vms
+            for i in range(start, len(order)):
+                p = order[i]
+                c0, r0 = cpu_load[p], ram_load[p]
+                if c0 + c > cpu_lim[p] or r0 + r > ram_lim[p]:
+                    continue
+                # inline rather than `meter.spend(1)`, which is a call per child
+                if meter.used >= meter.budget:
+                    raise _Budget
+                meter.used += 1
+                hosts[v] = p
+                child, child_stake = cost + a[p], stake
+                if not counts[p]:
+                    child += B[p]
+                    if not rack_open[rack_of[p]]:
+                        child += R[rack_of[p]]
+                    child_stake -= stake_of[p]
+                if leaf:
+                    # most leaves fail the cheap test, which skips a call
+                    if child <= self.best + TIE_EPS and _beats(child, hosts, self.best, self.best_hosts):
+                        self.seed(np.array(hosts, dtype=int), child)
+                elif self.node_bound(child, child_stake, depth + 1) <= self.best + TIE_EPS:
+                    stack.append((i + 1, p, c0, r0, cost, stake))
+                    cpu_load[p], ram_load[p] = c0 + c, r0 + r
+                    counts[p] += 1
+                    if counts[p] == 1:
+                        rack_open[rack_of[p]] += 1
+                    cost, stake, depth, start = child, child_stake, depth + 1, 0
+                    break
+            else:  # every host tried: back to the parent
+                if not stack:
+                    return
+                start, p, c0, r0, cost, stake = stack.pop()
+                cpu_load[p], ram_load[p] = c0, r0
                 counts[p] -= 1
-            else:
-                # opening p changes the branch order below it
-                counts[p] = 1
-                k = self.table.rack_of[p]
-                rack_open[k] += 1
-                opened = cost + a[p] + self.table.B[p]
-                if rack_open[k] == 1:
-                    opened += self.table.R[k]
-                self._dfs(depth + 1, opened, stake - self.stake[p], self._branch_order())
-                rack_open[k] -= 1
-                counts[p] = 0
-            cpu_load[p], ram_load[p] = c0, r0
+                if not counts[p]:
+                    rack_open[rack_of[p]] -= 1
+                depth -= 1
 
 
 def solve_exact(

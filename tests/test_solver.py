@@ -40,13 +40,18 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             S.solve_bruteforce(state, weights, params, mig)
 
-    def test_random_instances_agree(self, rng):
-        for _ in range(25):
-            state, weights, params, mig = random_tiny_instance(rng)
-            bf = S.solve_bruteforce(state, weights, params, mig)
-            ex = S.solve_exact(state, weights, params, mig, time_cap=10.0)
-            assert ex.proof == "optimal"
-            assert ex.objective == pytest.approx(bf.objective, abs=1e-9)
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None)
+    def test_random_instances_agree(self, seed):
+        """Both exact paths prove brute force's optimum and return its
+        placement, the smallest host list among ties.  The `campaign`
+        profile runs 10,000 draws."""
+        state, weights, params, mig = random_tiny_instance(np.random.default_rng(seed))
+        bf = S.solve_bruteforce(state, weights, params, mig)
+        ex = S.solve_exact(state, weights, params, mig, time_cap=10.0)
+        assert ex.proof == "optimal"
+        assert ex.objective == pytest.approx(bf.objective, abs=1e-9)
+        assert ex.placement == bf.placement
 
 
 class TestDeterminism:
@@ -92,6 +97,25 @@ class TestBudget:
         weights, params, mig = _setup(state)
         assert S._slots_per_pm(state, C.cost_table(state, weights, params, mig)) is None
         cap = 3 / S.NODES_PER_SECOND
+        res = S.solve_exact(state, weights, params, mig, time_cap=cap)
+        assert res.proof == "time-capped"
+        assert res.nodes_explored == int(cap * S.NODES_PER_SECOND)
+        assert validate_placement(res.placement, state) == []
+        status_quo, _ = C.objective(state.current, state.current, state, weights, params, mig)
+        greedy = S.greedy_incumbent(state, weights, params, mig).objective
+        assert res.objective <= min(float(status_quo), greedy) + 1e-9
+
+    @pytest.mark.parametrize("cap", [0.001, 0.01])
+    def test_search_deeper_than_the_recursion_limit(self, cap):
+        # 1,100 mixed VMs, one search level each, on 10 racks of 4 PMs
+        demands = [((100.0, 150.0, 200.0)[v % 3], 200.0, 0.2) for v in range(1100)]
+        loads, hosts = [0.0] * 40, []
+        for cpu, _, _ in demands:
+            p = next(p for p in range(40) if loads[p] + cpu <= 5000.0)
+            loads[p] += cpu
+            hosts.append(p)
+        state = build_state([4] * 10, demands, hosts, cpu_caps=[5000.0] * 40)
+        weights, params, mig = _setup(state)
         res = S.solve_exact(state, weights, params, mig, time_cap=cap)
         assert res.proof == "time-capped"
         assert res.nodes_explored == int(cap * S.NODES_PER_SECOND)
