@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -271,7 +271,12 @@ class DatacenterState:
         if cycle_increments is not None:
             pms = list(pms)
             for p in np.flatnonzero(cycle_increments).tolist():
-                pms[p] = replace(pms[p], cycle_count=pms[p].cycle_count + int(cycle_increments[p]))
+                # every field in declaration order: half the cost of `dataclasses.replace`,
+                # and `__post_init__` still checks the new counter
+                pm = pms[p]
+                pms[p] = PmSpec(pm.id, pm.rack_id, pm.cpu_capacity, pm.ram_capacity, pm.bw_capacity,
+                                pm.p_max, pm.k_idle, pm.cycle_count + int(cycle_increments[p]),
+                                pm.t_idle, pm.t_max)
         bad = validate_placement(placement, self)
         if bad:
             raise PlacementError(f"current placement invalid: {bad[0]}")

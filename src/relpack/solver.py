@@ -35,9 +35,11 @@ from .domain import (FIT_TOL, PACKED_RESOURCES, DatacenterState, Placement, Tran
 # (B&B nodes, min-plus pairs, tie-pass host checks and walked PMs).  Calibrated
 # on one core with the benchmark's instances.  The B&B runs ~2M nodes per CPU
 # second (mixed 8-16 PM fleets), so a cap-second buys ~0.5 s of its work.  The
-# template program runs 1.2M units/s (median of 36 paper instances, 16-32 PMs)
-# to 1.9M units/s (ten 64-PM fleets), so a cap-second buys 0.5-0.8 s of its
-# work there; large fleets spend units faster (3.7M/s at 320 PMs).
+# template program's `solve_exact` runs 1.5M units/s (median of 36 paper
+# instances, 16-32 PMs) to 3.0M units/s (ten 64-PM fleets), so a cap-second
+# buys 0.3-0.7 s of its work there; large fleets spend units faster (9.8M/s at
+# 320 PMs, where most units are long min-plus products).  Process time, best
+# of 7, on one core of a shared 2-CPU x86-64 machine.
 NODES_PER_SECOND = 1_000_000
 
 BRUTE_FORCE_LIMIT = 10_000_000
@@ -261,10 +263,32 @@ class _Tree:
 
 
 def _minplus(a: list[float], b: list[float], size: int, meter: _Meter) -> list[float]:
-    """Min-plus convolution of two tables, cut at `size` entries.  The tables
-    are short (at most a subtree's PMs + 1), so plain loops beat numpy calls."""
+    """Min-plus convolution of two tables, cut at `size` entries.
+
+    A numpy pass has a fixed cost of ~6 us, more than the plain loop's
+    whole product up to ~10 entries a side (2.2 us at 5 x 5,
+    5.3 us at 9 x 9); the two break even near 12.  From 17 x 17 on, the
+    tables of 16-PM nodes and up, numpy wins (8 against 14 us at 17 x 17,
+    12 against 44 us at 33 x 33).  Trees of 4-PM racks have tables of 2, 3,
+    5, 9, 17, ... entries, so none is in 10-16, where the choice hardly
+    matters.  Row i of the buffer holds a[i] + b; read back with rows one
+    entry shorter, row i is shifted by i, so the column minima are the
+    products.  Each candidate is the loop's sum and a minimum is exact, so
+    both give the same table.
+    """
     meter.spend(len(a) * len(b))
-    out = [math.inf] * min(len(a) + len(b) - 1, size)
+    n = len(a) + len(b) - 1
+    if len(a) >= 17 and len(b) >= 17:
+        buf = np.full((len(a), n + 1), math.inf)
+        np.add(np.array(a)[:, None], b, out=buf[:, :len(b)])
+        return buf.ravel()[:len(a) * n].reshape(len(a), n)[:, :size].min(axis=0).tolist()
+    out = [math.inf] * min(n, size)
+    if n <= size:
+        for i, x in enumerate(a):
+            for j, y in enumerate(b, i):
+                if x + y < out[j]:
+                    out[j] = x + y
+        return out
     for i, x in enumerate(a[:size]):
         for j, y in enumerate(b[:size - i], i):
             if x + y < out[j]:
@@ -276,14 +300,13 @@ def _pair(a: _Tree, b: _Tree, size: int, meter: _Meter) -> _Tree:
     return _Tree(_minplus(a.cost, b.cost, size, meter), kids=(a, b))
 
 
-def _level(kids: list[_Tree], own, size: int, meter: _Meter) -> _Tree:
-    """A node over `kids`, combined pairwise as a balanced tree, plus its term `own(j)`."""
+def _level(kids: list[_Tree], term: list[float], size: int, meter: _Meter) -> _Tree:
+    """A node over `kids`, combined pairwise as a balanced tree, plus its
+    `term`, which has an entry for each count of the node's PMs kept on."""
     while len(kids) > 1:
         kids = [_pair(*kids[i:i + 2], size, meter) if i + 1 < len(kids) else kids[i]
                 for i in range(0, len(kids), 2)]
-    cost = kids[0].cost
-    term = [own(j) for j in range(len(cost))]
-    return _Tree([c + t for c, t in zip(cost, term)], term, (kids[0],))
+    return _Tree([c + t for c, t in zip(kids[0].cost, term)], term, (kids[0],))
 
 
 def _choices(node: _Tree, j: int, budget: float):
@@ -348,17 +371,23 @@ class _TemplateDP:
         for p, n in enumerate(self.loads):
             leaf = _Tree([m * n, t.B[p]][:size], pm=p)
             racks.setdefault(t.rack_of[p], []).append(leaf)
+        # a node's term has an entry for each count j of its PMs kept on, cut at `size`
+        counts = lambda n_pms: range(min(n_pms + 1, size))
         pods: dict[int, list[_Tree]] = {}
+        pod_pms: dict[int, int] = {}
         for r in sorted(racks):
-            n, R = self.rack_loads[r], t.R[r]
-            own = lambda j, n=n, R=R: (R if j > 0 else 0.0) + m * max(0, n - k * j)
-            pods.setdefault(t.model.pod_of_rack[r], []).append(_level(racks[r], own, size, meter))
+            n, R, d = self.rack_loads[r], t.R[r], t.model.pod_of_rack[r]
+            term = [(R if j > 0 else 0.0) + m * max(0, n - k * j) for j in counts(len(racks[r]))]
+            pods.setdefault(d, []).append(_level(racks[r], term, size, meter))
+            pod_pms[d] = pod_pms.get(d, 0) + len(racks[r])
         pod_trees = []
         for d in sorted(pods):
-            own = lambda j, n=self.pod_loads[d]: m * max(0, n - k * j)
-            pod_trees.append(_level(pods[d], own, size, meter))
+            n = self.pod_loads[d]
+            term = [m * max(0, n - k * j) for j in counts(pod_pms[d])]
+            pod_trees.append(_level(pods[d], term, size, meter))
         # the open PMs must hold every VM
-        return _level(pod_trees, lambda j: 0.0 if k * j >= self.n_vms else math.inf, size, meter)
+        term = [0.0 if k * j >= self.n_vms else math.inf for j in counts(len(self.loads))]
+        return _level(pod_trees, term, size, meter)
 
     def solve(self, meter: _Meter) -> None:
         """Leave the lexicographically smallest optimal placement in

@@ -1,4 +1,6 @@
 """Data model unit tests: placements, validation, transition flags."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -248,6 +250,21 @@ class TestDerivedArrays:
             assert np.array_equal(state2.demands(resource), fresh.demands(resource))
             assert np.array_equal(state2.capacities(resource), fresh.capacities(resource))
         assert np.array_equal(state2.rack_of(), fresh.rack_of())
+
+    def test_with_placement_keeps_every_other_pm_field(self):
+        # `with_placement` passes PmSpec's fields by position, so a field added
+        # or reordered must be added there too
+        assert [f.name for f in dataclasses.fields(PmSpec)] == [
+            "id", "rack_id", "cpu_capacity", "ram_capacity", "bw_capacity", "p_max", "k_idle",
+            "cycle_count", "t_idle", "t_max"]
+        base = build_state([2, 2], [(500.0, 612.0, 0.612)] * 4, [0, 1, 2, 3])
+        pms = tuple(PmSpec(p, p // 2, 2000.0 + p, 10240.0 + p, 900.0 + p, 250.0 + p, 0.6 + p / 10,
+                           7 * p, 300.0 + p, 340.0 + p) for p in range(4))
+        state = DatacenterState(base.racks, pms, base.vms, base.current)
+        nxt = Placement.from_hosts([0, 0, 0, 0], state.n_pms)
+        state2 = state.with_placement(nxt, cycle_increments=np.array([0, 1, 2, 1]))
+        for old, new, inc in zip(state.pms, state2.pms, [0, 1, 2, 1]):
+            assert new == dataclasses.replace(old, cycle_count=old.cycle_count + inc)
 
     def test_accessors_return_fresh_copies(self, tiny_state):
         cpu = tiny_state.capacities("cpu")

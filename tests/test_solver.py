@@ -424,34 +424,98 @@ class TestSearchPins:
         ]
 
 
+def _product(a, b, size):
+    """The min-plus product of two tables, cut at `size`, pair by pair."""
+    out = [float("inf")] * min(len(a) + len(b) - 1, size)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < len(out):
+                out[i + j] = min(out[i + j], x + y)
+    return out
+
+
 class TestMinPlus:
     def test_matches_the_minimum_over_all_pairs(self):
+        # 1-40 entries a side, so both the loop and the numpy pass (17 and
+        # more a side) run, each cut below, at and above its full length
         rng = np.random.default_rng(21)
         for _ in range(300):
             a, b = ([float(x) if rng.random() > 0.2 else float("inf")
-                     for x in rng.normal(size=int(rng.integers(1, 9)))] for _ in range(2))
-            size = int(rng.integers(1, len(a) + len(b) + 2))
-            want = [float("inf")] * min(len(a) + len(b) - 1, size)
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    if i + j < len(want):
-                        want[i + j] = min(want[i + j], x + y)
-            meter = S._Meter(10**6)
-            assert S._minplus(a, b, size, meter) == want
-            assert meter.used == len(a) * len(b)
+                     for x in rng.normal(size=int(rng.integers(1, 41)))] for _ in range(2))
+            n = len(a) + len(b) - 1
+            for size in (int(rng.integers(1, n)) if n > 1 else 1, n, n + int(rng.integers(1, 4))):
+                meter = S._Meter(10**6)
+                assert S._minplus(a, b, size, meter) == _product(a, b, size)
+                assert meter.used == len(a) * len(b)
 
     def test_spends_before_it_works(self):
-        meter = S._Meter(11)
-        with pytest.raises(S._Budget):
-            S._minplus([0.0] * 3, [0.0] * 4, 10, meter)
-        assert meter.used == 0
+        for la, lb in [(3, 4), (17, 20)]:  # the loop and the numpy pass
+            meter = S._Meter(la * lb - 1)
+            with pytest.raises(S._Budget):
+                S._minplus([0.0] * la, [0.0] * lb, 10, meter)
+            assert meter.used == 0
+
+
+class TestLayoutTree:
+    """The tables the template program builds, checked node by node."""
+
+    @staticmethod
+    def _check(node, size):
+        """Every pair node is its kids' product, every level node its kid
+        plus its own term; returns the units the pairs cost."""
+        if node.pm >= 0:
+            return 0
+        if len(node.kids) == 2:
+            a, b = node.kids
+            assert node.own is None
+            assert node.cost == _product(a.cost, b.cost, size)
+            units = len(a.cost) * len(b.cost)
+        else:
+            (kid,) = node.kids
+            assert len(node.own) == len(kid.cost)
+            assert node.cost == [c + t for c, t in zip(kid.cost, node.own)]
+            units = 0
+        return units + sum(TestLayoutTree._check(kid, size) for kid in node.kids)
+
+    @staticmethod
+    def _check_tree(state, weights, params, mig):
+        table = C.cost_table(state, weights, params, mig)
+        dp = S._TemplateDP(state, table, S._slots_per_pm(state, table))
+        meter = S._Meter(10**9)
+        root = dp._tree(meter)
+        assert len(root.cost) == min(state.n_pms, state.n_vms) + 1
+        assert TestLayoutTree._check(root, state.n_vms + 1) == meter.used
+
+    def test_random_template_instances(self):
+        for seed in range(300):
+            self._check_tree(*random_template_instance(np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("n_racks", [4, 8, 16])
+    def test_default_fleets(self, n_racks):
+        scenario = sim.Scenario(n_racks=n_racks, pms_per_rack=4, n_vms=26 * n_racks // 4)
+        state = sim.build_datacenter(scenario, 0)
+        self._check_tree(state, scenario.weights, scenario.reliability,
+                         sim.migration_model(scenario, state))
+
+    @pytest.mark.parametrize("cap, units", [(0.0005, 453), (0.001, 923), (0.002, 1374),
+                                            (0.0025, 2494)])
+    def test_cut_program_stops_where_it_did(self, cap, units):
+        # pins the order the program charges its units in: the min-plus
+        # pairs, then the tie pass
+        scenario = sim.Scenario(n_racks=16, pms_per_rack=4, n_vms=104)
+        state = sim.build_datacenter(scenario, 0)
+        mig = sim.migration_model(scenario, state)
+        res = S.solve_exact(state, scenario.weights, scenario.reliability, mig, cap)
+        assert (res.nodes_explored, res.proof) == (units, "time-capped")
+        assert res.objective == 0.18438112160443332
 
 
 class TestTemplateProgram:
     """The layout-tree program that solves fleets of one VM and one PM template."""
 
     @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=150, deadline=None)
+    # at least 150 draws, and the profile's count when it asks for more (the campaign)
+    @settings(max_examples=max(150, settings.default.max_examples), deadline=None)
     def test_matches_brute_force(self, seed):
         state, weights, params, mig = random_template_instance(np.random.default_rng(seed))
         assert S._slots_per_pm(state, C.cost_table(state, weights, params, mig)) is not None
