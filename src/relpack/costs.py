@@ -540,12 +540,16 @@ def cost_table(
         rack_of=tuple(dc.rack_of().tolist()),
         model=model,
     )
-    # a non-finite entry would silently zero a term's scale or poison the objective
-    for name in _CHECKED:
-        value = getattr(table, name)
-        finite = np.isfinite(value)
-        if not finite.all():
-            bad = np.asarray(value)[~finite]
-            raise CostRangeError(f"cost table entry {name} overflows to {bad[0]}; "
-                                 "the scenario's numbers are too large")
+    # a non-finite entry would silently zero a term's scale or poison the objective;
+    # one pass over every entry, then entry by entry to name the first bad one
+    values = [getattr(table, name) for name in _CHECKED]
+    arrays = [v for v in values if isinstance(v, np.ndarray)]
+    scalars = [v for v in values if not isinstance(v, np.ndarray)]
+    if not np.isfinite(np.concatenate([*arrays, scalars])).all():
+        for name, value in zip(_CHECKED, values):
+            finite = np.isfinite(value)
+            if not finite.all():
+                bad = np.asarray(value)[~finite]
+                raise CostRangeError(f"cost table entry {name} overflows to {bad[0]}; "
+                                     "the scenario's numbers are too large")
     return table

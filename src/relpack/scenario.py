@@ -32,8 +32,6 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
 
-import yaml
-
 from .costs import CostWeights, ReliabilityParams
 from .sim import PmTemplate, Scenario
 
@@ -110,6 +108,9 @@ def _section(data: dict, name: str) -> _Keys:
 
 
 def load_scenario(path: str | Path) -> Scenario:
+    # imported here, so that only reading a scenario file pays for PyYAML
+    import yaml
+
     try:
         text = Path(path).read_text()
     except OSError as exc:

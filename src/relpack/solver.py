@@ -35,9 +35,9 @@ from .domain import (FIT_TOL, PACKED_RESOURCES, DatacenterState, Placement, Tran
 # (B&B nodes, min-plus pairs, tie-pass host checks and walked PMs).  Calibrated
 # on one core with the benchmark's instances.  The B&B runs ~2M nodes per CPU
 # second (mixed 8-16 PM fleets), so a cap-second buys ~0.5 s of its work.  The
-# template program's `solve_exact` runs 1.5M units/s (median of 36 paper
-# instances, 16-32 PMs) to 3.0M units/s (ten 64-PM fleets), so a cap-second
-# buys 0.3-0.7 s of its work there; large fleets spend units faster (9.8M/s at
+# template program's `solve_exact` runs 1.6M units/s (median of 36 paper
+# instances, 16-32 PMs) to 3.3M units/s (ten 64-PM fleets), so a cap-second
+# buys 0.3-0.6 s of its work there; large fleets spend units faster (11M/s at
 # 320 PMs, where most units are long min-plus products).  Process time, best
 # of 7, on one core of a shared 2-CPU x86-64 machine.
 NODES_PER_SECOND = 1_000_000
@@ -102,6 +102,13 @@ class _Meter:
 
     def spend(self, units: int):
         if self.used + units > self.budget:
+            raise _Budget
+        self.used += units
+
+    def spend_each(self, units: int):
+        """As `units` calls of `spend(1)`: out of budget, the meter stops at it."""
+        if self.used + units > self.budget:
+            self.used = self.budget
             raise _Budget
         self.used += units
 
@@ -297,37 +304,80 @@ def _minplus(a: list[float], b: list[float], size: int, meter: _Meter) -> list[f
 
 
 def _pair(a: _Tree, b: _Tree, size: int, meter: _Meter) -> _Tree:
-    return _Tree(_minplus(a.cost, b.cost, size, meter), kids=(a, b))
+    """The node over `a` and `b`: their min-plus product, cut at `size`.
+
+    The products of a 4-PM rack, 2 x 2 (two leaves) and then 3 x 3 (two
+    pairs of leaves), are written out as the loop's own sums and minima, in
+    its order: `min` keeps the first of equal sums, as the loop's strict
+    test does, so the tables are `_minplus`'s to the bit.  Their units are
+    spent first, as `_minplus` spends them.  Longer products, and products
+    cut short at `size`, go to `_minplus`.
+    """
+    x, y = a.cost, b.cost
+    if len(x) == 2 == len(y) and size > 2:
+        meter.spend(4)
+        a0, a1 = x
+        b0, b1 = y
+        cost = [a0 + b0, min(a0 + b1, a1 + b0), a1 + b1]
+    elif len(x) == 3 == len(y) and size > 4:
+        meter.spend(9)
+        a0, a1, a2 = x
+        b0, b1, b2 = y
+        cost = [a0 + b0, min(a0 + b1, a1 + b0), min(a0 + b2, a1 + b1, a2 + b0),
+                min(a1 + b2, a2 + b1), a2 + b2]
+    else:
+        cost = _minplus(x, y, size, meter)
+    return _Tree(cost, kids=(a, b))
 
 
 def _level(kids: list[_Tree], term: list[float], size: int, meter: _Meter) -> _Tree:
     """A node over `kids`, combined pairwise as a balanced tree, plus its
     `term`, which has an entry for each count of the node's PMs kept on."""
     while len(kids) > 1:
-        kids = [_pair(*kids[i:i + 2], size, meter) if i + 1 < len(kids) else kids[i]
-                for i in range(0, len(kids), 2)]
+        paired = [_pair(kids[i], kids[i + 1], size, meter) for i in range(0, len(kids) - 1, 2)]
+        if len(kids) % 2:
+            paired.append(kids[-1])
+        kids = paired
     return _Tree([c + t for c, t in zip(kids[0].cost, term)], term, (kids[0],))
 
 
 def _choices(node: _Tree, j: int, budget: float):
-    """Yield (PMs, cost) for every way to keep `j` PMs of `node` on at cost <= budget."""
+    """Yield (PMs, cost) for every way to keep `j` PMs of `node` on at cost <= budget.
+
+    Level nodes and pairs each walk in a frame of their own.  A pair tests
+    a leaf kid itself, by the leaf's test (cost <= the budget left), so a
+    leaf is walked as a node only under a level (a rack of one PM).  A pair
+    has no term of its own: its sums are its kids' alone, as adding and
+    subtracting a term of 0.0 would leave them.
+    """
     if node.pm >= 0:
         if node.cost[j] <= budget:
             yield ((node.pm,) if j else ()), node.cost[j]
         return
-    own = 0.0 if node.own is None else node.own[j]
-    if len(node.kids) == 1:
+    if node.own is not None:
+        own = node.own[j]
         for pms, cost in _choices(node.kids[0], j, budget - own):
             yield pms, cost + own
         return
     a, b = node.kids
-    for ja in range(max(0, j - len(b.cost) + 1), min(j, len(a.cost) - 1) + 1):
-        rest = b.cost[j - ja]
-        if own + a.cost[ja] + rest > budget:
+    x, y = a.cost, b.cost
+    for ja in range(max(0, j - len(y) + 1), min(j, len(x) - 1) + 1):
+        jb = j - ja
+        rest = y[jb]
+        if x[ja] + rest > budget:
             continue
-        for pa, ca in _choices(a, ja, budget - own - rest):
-            for pb, cb in _choices(b, j - ja, budget - own - ca):
-                yield pa + pb, own + ca + cb
+        if a.pm < 0:
+            heads = _choices(a, ja, budget - rest)
+        elif x[ja] <= budget - rest:
+            heads = ((((a.pm,) if ja else ()), x[ja]),)
+        else:
+            continue
+        for pa, ca in heads:
+            if b.pm < 0:
+                for pb, cb in _choices(b, jb, budget - ca):
+                    yield pa + pb, ca + cb
+            elif y[jb] <= budget - ca:
+                yield ((*pa, b.pm) if jb else pa), ca + y[jb]
 
 
 class _TemplateDP:
@@ -355,29 +405,36 @@ class _TemplateDP:
 
     def __init__(self, dc: DatacenterState, table: C.CostTable, k: int):
         self.table, self.k, self.n_vms = table, k, dc.n_vms
-        # objective cost of one VM-hop, as in the cost table's migration energy
-        self.m = table.ene_scale * float(table.hop_wh[0]) if dc.n_vms else 0.0
+        # objective cost of one VM-hop, as in the cost table's migration energy;
+        # a Python float, so the tables' sums are plain float sums
+        self.m = float(table.ene_scale * table.hop_wh[0]) if dc.n_vms else 0.0
         self.loads = dc.current.pm_loads().tolist()
+        self.prev = table.prev.tolist()
         pod_of_rack = table.model.pod_of_rack
         rack_of_vm = dc.rack_of()[table.prev]
         self.rack_loads = np.bincount(rack_of_vm, minlength=dc.n_racks).tolist()
         self.pod_loads = np.bincount(np.asarray(pod_of_rack, dtype=int)[rack_of_vm],
                                      minlength=max(pod_of_rack, default=-1) + 1).tolist()
+        # [p] the node ids of PM p's rack and pod: rack r is r, pod d is n_racks + d
+        n_racks = len(self.rack_loads)
+        self.nodes = [(r, n_racks + pod_of_rack[r]) for r in table.rack_of]
         self.best_hosts: list[int] | None = None
 
     def _tree(self, meter: _Meter) -> _Tree:
         m, k, size, t = self.m, self.k, self.n_vms + 1, self.table
+        B, rack_of = t.B, t.rack_of
         racks: dict[int, list[_Tree]] = {}
         for p, n in enumerate(self.loads):
-            leaf = _Tree([m * n, t.B[p]][:size], pm=p)
-            racks.setdefault(t.rack_of[p], []).append(leaf)
+            leaf = _Tree([m * n, B[p]] if size > 1 else [m * n], pm=p)
+            racks.setdefault(rack_of[p], []).append(leaf)
         # a node's term has an entry for each count j of its PMs kept on, cut at `size`
         counts = lambda n_pms: range(min(n_pms + 1, size))
         pods: dict[int, list[_Tree]] = {}
         pod_pms: dict[int, int] = {}
         for r in sorted(racks):
             n, R, d = self.rack_loads[r], t.R[r], t.model.pod_of_rack[r]
-            term = [(R if j > 0 else 0.0) + m * max(0, n - k * j) for j in counts(len(racks[r]))]
+            # the rack's R is paid from one PM on
+            term = [m * n] + [R + m * max(0, n - k * j) for j in counts(len(racks[r]))[1:]]
             pods.setdefault(d, []).append(_level(racks[r], term, size, meter))
             pod_pms[d] = pod_pms.get(d, 0) + len(racks[r])
         pod_trees = []
@@ -482,53 +539,64 @@ class _TemplateDP:
         mover's rack always keeps the excess; leaving the rack (the pod) keeps
         it only when the mover's rack (pod) has more movers than spare slots
         and the host's rack (pod) more spare slots than movers.
+
+        A VM that stays is a unit; the VMs that stay between two movers are
+        charged and compared with `best_hosts` as one run, as if one by one.
         """
-        best, k, rack_of = self.best_hosts, self.k, self.table.rack_of
-        n_racks = len(self.rack_loads)
-        # node ids: rack r is r, pod d is n_racks + d
-        nodes = [(r, n_racks + d) for r, d in enumerate(self.table.model.pod_of_rack)]
+        best, k, loads, nodes, prev = self.best_hosts, self.k, self.loads, self.nodes, self.prev
         movers = self.rack_loads + self.pod_loads
         spare = [0] * len(movers)
         free = {}
         for q in opened:
-            free[q] = k - self.loads[q]
-            for a in nodes[rack_of[q]]:
-                movers[a] -= self.loads[q]
-                spare[a] += free[q]
+            n = loads[q]
+            free[q] = f = k - n
+            r, d = nodes[q]
+            movers[r] -= n
+            movers[d] -= n
+            spare[r] += f
+            spare[d] += f
         avail = [q for q in opened if free[q]]
         tied = best is not None
-        hosts = []
-        for v, h in enumerate(self.table.prev.tolist()):
-            if h in free:
-                meter.spend(1)
-                host = h
+        hosts = prev.copy()
+        start = 0  # the first VM of the run that stays
+        # each mover in id order, then the end, which closes the last run
+        for v in [v for v, h in enumerate(prev) if h not in free] + [len(prev)]:
+            if tied and prev[start:v] != best[start:v]:
+                i = next(i for i in range(start, v) if prev[i] != best[i])
+                if prev[i] > best[i]:
+                    meter.spend_each(i + 1 - start)
+                    return None
+                tied = False
+            meter.spend_each(v - start)
+            if v == len(prev):
+                break
+            r, d = nodes[prev[v]]
+            checks = 0
+            for host in avail:
+                checks += 1
+                if tied and host > best[v]:
+                    meter.spend(checks)
+                    return None
+                rq, dq = nodes[host]
+                if rq == r or (movers[r] > spare[r] and spare[rq] > movers[rq] and (
+                        dq == d or (movers[d] > spare[d] and spare[dq] > movers[dq]))):
+                    break
             else:
-                r, d = nodes[rack_of[h]]
-                checks = 0
-                for host in avail:
-                    checks += 1
-                    if tied and host > best[v]:
-                        meter.spend(checks)
-                        return None
-                    rq, dq = nodes[rack_of[host]]
-                    if rq == r or (movers[r] > spare[r] and spare[rq] > movers[rq] and (
-                            dq == d or (movers[d] > spare[d] and spare[dq] > movers[dq]))):
-                        break
-                else:
-                    raise AssertionError("tie pass found no host for a migrating VM")
-                meter.spend(checks)
-                movers[r] -= 1
-                movers[d] -= 1
-                spare[rq] -= 1
-                spare[dq] -= 1
-                free[host] -= 1
-                if not free[host]:
-                    avail.remove(host)
+                raise AssertionError("tie pass found no host for a migrating VM")
+            meter.spend(checks)
+            movers[r] -= 1
+            movers[d] -= 1
+            spare[rq] -= 1
+            spare[dq] -= 1
+            free[host] -= 1
+            if not free[host]:
+                avail.remove(host)
             if tied and host != best[v]:
                 if host > best[v]:
                     return None
                 tied = False
-            hosts.append(host)
+            hosts[v] = host
+            start = v + 1
         return None if tied else hosts
 
 

@@ -1,5 +1,7 @@
 """Solver tests: brute force vs both exact paths, determinism, budgets."""
 import dataclasses
+import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -123,6 +125,14 @@ class TestBudget:
         status_quo, _ = C.objective(state.current, state.current, state, weights, params, mig)
         greedy = S.greedy_incumbent(state, weights, params, mig).objective
         assert res.objective <= min(float(status_quo), greedy) + 1e-9
+
+    def test_spend_each_stops_at_the_budget(self):
+        # as one `spend(1)` per unit: the units that fit are spent, then it raises
+        meter = S._Meter(5)
+        meter.spend_each(3)
+        with pytest.raises(S._Budget):
+            meter.spend_each(4)
+        assert meter.used == 5
 
     def test_bad_cap_rejected(self):
         state = template_fleet_state([0])
@@ -456,6 +466,32 @@ class TestMinPlus:
             assert meter.used == 0
 
 
+class TestRackProducts:
+    """`_pair` writes out the 2 x 2 and 3 x 3 products of a 4-PM rack."""
+
+    def test_match_the_loop(self):
+        # equal sums, signed zeros and inf, so a different pick among equals shows
+        rng = np.random.default_rng(27)
+        values = [0.0, -0.0, 1.0, 2.5, -1.5, math.inf]
+        for n in (2, 3):
+            for _ in range(300):
+                x, y = ([values[i] for i in rng.integers(0, len(values), n)] for _ in range(2))
+                for size in range(1, 2 * n + 1):  # cut below, at and above 2n - 1
+                    meter, loop = S._Meter(10**6), S._Meter(10**6)
+                    cost = S._pair(S._Tree(x), S._Tree(y), size, meter).cost
+                    want = S._minplus(x, y, size, loop)
+                    assert [float.hex(c) for c in cost] == [float.hex(c) for c in want]
+                    assert cost == _product(x, y, size)
+                    assert meter.used == loop.used == n * n
+
+    def test_spend_before_they_work(self):
+        for n in (2, 3):
+            meter = S._Meter(n * n - 1)
+            with pytest.raises(S._Budget):
+                S._pair(S._Tree([0.0] * n), S._Tree([0.0] * n), 2 * n, meter)
+            assert meter.used == 0
+
+
 class TestLayoutTree:
     """The tables the template program builds, checked node by node."""
 
@@ -508,6 +544,89 @@ class TestLayoutTree:
         res = S.solve_exact(state, scenario.weights, scenario.reliability, mig, cap)
         assert (res.nodes_explored, res.proof) == (units, "time-capped")
         assert res.objective == 0.18438112160443332
+
+    def test_every_cap_of_a_tie_pass_stops_where_it_did(self):
+        # pins the charge order at every unit of a tie pass: the tables cost
+        # 687 units and the walk over 9 tied sets 469 more; the digest of
+        # (units, proof, placement) at each cap from 688 to 1,156 units
+        scenario = cli.alpha_sweep_scenario(8, 52, 1.0)
+        state = sim.build_datacenter(scenario, 0)
+        mig = sim.migration_model(scenario, state)
+        digest = hashlib.sha256()
+        for units in range(688, 1157):
+            res = S.solve_exact(state, scenario.weights, scenario.reliability, mig,
+                                (units + 0.5) / S.NODES_PER_SECOND)
+            digest.update(f"{res.nodes_explored} {res.proof} {res.placement.hosts().tolist()}\n"
+                          .encode())
+        assert res.proof == "optimal"
+        assert digest.hexdigest() == (
+            "078ef2a66baa5d894efbc7b826d71e0bf17a5cf326a66e0056a55cfa836bc9f9")
+
+
+def _one_frame_per_node(node, j, budget):
+    """A reference walk for `solver._choices`: one generator frame for every
+    node, leaves too, and a pair's term of 0.0 added and subtracted."""
+    if node.pm >= 0:
+        if node.cost[j] <= budget:
+            yield ((node.pm,) if j else ()), node.cost[j]
+        return
+    own = 0.0 if node.own is None else node.own[j]
+    if len(node.kids) == 1:
+        for pms, cost in _one_frame_per_node(node.kids[0], j, budget - own):
+            yield pms, cost + own
+        return
+    a, b = node.kids
+    for ja in range(max(0, j - len(b.cost) + 1), min(j, len(a.cost) - 1) + 1):
+        rest = b.cost[j - ja]
+        if own + a.cost[ja] + rest > budget:
+            continue
+        for pa, ca in _one_frame_per_node(a, ja, budget - own - rest):
+            for pb, cb in _one_frame_per_node(b, j - ja, budget - own - ca):
+                yield pa + pb, own + ca + cb
+
+
+class TestTieWalk:
+    """`_choices` yields the reference walk's (PMs, cost) sequence, float for float."""
+
+    @staticmethod
+    def _root(state, weights, params, mig):
+        table = C.cost_table(state, weights, params, mig)
+        return S._TemplateDP(state, table, S._slots_per_pm(state, table))._tree(S._Meter(10**9))
+
+    @staticmethod
+    def _walk(walk, root, j, budget):
+        return [(pms, float.hex(cost)) for pms, cost in walk(root, j, budget)]
+
+    def _check(self, root, j, budget):
+        got = self._walk(S._choices, root, j, budget)
+        assert got == self._walk(_one_frame_per_node, root, j, budget)
+        return len(got)
+
+    @given(st.integers(0, 2**32 - 1))
+    # at least 150 draws, and the profile's count when it asks for more (the campaign)
+    @settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+    def test_random_template_instances(self, seed):
+        # the tie pass's budgets, each count's own optimum, exact and with the
+        # tie margin (a leaf's test then meets its budget), and every set of each count
+        root = self._root(*random_template_instance(np.random.default_rng(seed)))
+        z = min(root.cost)
+        for j, c in enumerate(root.cost):
+            for budget in (z + S.TIE_EPS, c, c + S.TIE_EPS, math.inf):
+                self._check(root, j, budget)
+
+    @pytest.mark.parametrize("scenario, tied", [
+        (sim.Scenario(n_racks=4, pms_per_rack=4, n_vms=26), None),
+        (sim.Scenario(n_racks=8, pms_per_rack=4, n_vms=52), None),
+        (sim.Scenario(n_racks=16, pms_per_rack=4, n_vms=104), None),
+        (cli.alpha_sweep_scenario(8, 52, 1.0), 9),
+    ], ids=["default-16", "default-32", "default-64", "alpha-sweep-32x52-a1"])
+    def test_fleets(self, scenario, tied):
+        state = sim.build_datacenter(scenario, 0)
+        root = self._root(state, scenario.weights, scenario.reliability,
+                          sim.migration_model(scenario, state))
+        limit = min(root.cost) + S.TIE_EPS
+        sets = sum(self._check(root, j, limit) for j, c in enumerate(root.cost) if c <= limit)
+        assert sets == tied if tied else sets > 0
 
 
 class TestTemplateProgram:
