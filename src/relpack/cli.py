@@ -101,13 +101,12 @@ def cmd_solve(args) -> int:
         model = milp.build_model(state, scenario.weights, scenario.reliability, mig)
         outputs.write_text(out / "model.lp", milp.export_lp(model))
 
-    rows = []
     reports = []
     for _ in range(scenario.n_slots):
         state, report = sim.step(state, scenario)
         reports.append(report)
-        rows.append(outputs.report_row(report, scenario.seed, scenario.weights))
-    outputs.write_report_csv(out / "report.csv", rows)
+    outputs.write_report_csv(out / "report.csv",
+                             [outputs.report_row(r, scenario.seed, scenario.weights) for r in reports])
     outputs.write_placement_csv(out / "placement.csv", state.current.hosts())
     if any(r.proof == "time-capped" for r in reports):
         print("warning: solver hit the time cap; result is an incumbent", file=sys.stderr)
@@ -134,32 +133,29 @@ def weights_table_scenario(alpha: float, beta: float, gamma: float,
                         weights=weights, time_cap=time_cap)
 
 
-def _run_seeds(scenario: sim.Scenario, n_seeds: int, base_seed: int,
-               rows: list, means: dict[str, list[float]]) -> None:
-    """Solve per seed; append the report rows and their mean row to `rows`, field means to `means`."""
+def _run_seeds(scenario: sim.Scenario, n_seeds: int, base_seed: int, rows: list) -> sim.SlotReport:
+    """Solve per seed; append the report rows and their mean row to `rows`.  Returns the mean."""
     reports = []
     for s in range(n_seeds):
         report = sim.run(scenario, seed=base_seed + s)[0]
         reports.append(report)
         rows.append(outputs.report_row(report, base_seed + s, scenario.weights))
-    rows.append(outputs.mean_row(reports, scenario.weights))
-    for field, values in means.items():
-        values.append(sum(getattr(r, field) for r in reports) / len(reports))
+    mean = outputs.mean_report(reports)
+    rows.append(outputs.report_row(mean, "mean", scenario.weights))
+    return mean
 
 
 def _weights_table(out: Path, n_seeds: int, base_seed: int, time_cap: float) -> int:
     rows = []
-    means = {"active_pms": [], "active_racks": [], "n_migrations": []}
-    for alpha, beta, gamma in WEIGHT_SETTINGS:
-        _run_seeds(weights_table_scenario(alpha, beta, gamma, time_cap),
-                   n_seeds, base_seed, rows, means)
+    means = [_run_seeds(weights_table_scenario(alpha, beta, gamma, time_cap), n_seeds, base_seed, rows)
+             for alpha, beta, gamma in WEIGHT_SETTINGS]
     outputs.write_report_csv(out / "weights_table.csv", rows)
     cats = [f"({a:g},{b:g},{g:g})" for a, b, g in WEIGHT_SETTINGS]
     svg = outputs.svg_bar_plot(
         "Impact of weighting factors", "count (seed average)", cats,
-        [("active PMs", means["active_pms"]),
-         ("active racks", means["active_racks"]),
-         ("migrations", means["n_migrations"])],
+        [("active PMs", [m.active_pms for m in means]),
+         ("active racks", [m.active_racks for m in means]),
+         ("migrations", [m.n_migrations for m in means])],
     )
     outputs.write_text(out / "weights_table.svg", svg)
     return EXIT_OK
@@ -180,16 +176,15 @@ def alpha_sweep_scenario(n_racks: int, n_vms: int, alpha: float,
 def _alpha_sweep(out: Path, n_seeds: int, base_seed: int, time_cap: float) -> int:
     for name, n_racks, n_vms in ALPHA_SWEEP_SHAPES:
         rows = []
-        curve = {"c_ene": [], "c_rel": [], "g_rel": []}
-        for alpha in ALPHA_GRID:
-            _run_seeds(alpha_sweep_scenario(n_racks, n_vms, alpha, time_cap),
-                       n_seeds, base_seed, rows, curve)
+        means = [_run_seeds(alpha_sweep_scenario(n_racks, n_vms, alpha, time_cap),
+                            n_seeds, base_seed, rows)
+                 for alpha in ALPHA_GRID]
         outputs.write_report_csv(out / f"alpha_sweep_{name}.csv", rows)
         svg = outputs.svg_line_plot(
             f"Alpha sweep, {name}", "alpha", "dollars per slot",
-            [("energy cost", ALPHA_GRID, curve["c_ene"]),
-             ("reliability cost", ALPHA_GRID, curve["c_rel"]),
-             ("reliability gain", ALPHA_GRID, curve["g_rel"])],
+            [("energy cost", ALPHA_GRID, [m.c_ene for m in means]),
+             ("reliability cost", ALPHA_GRID, [m.c_rel for m in means]),
+             ("reliability gain", ALPHA_GRID, [m.g_rel for m in means])],
         )
         outputs.write_text(out / f"alpha_sweep_{name}.svg", svg)
     return EXIT_OK

@@ -16,6 +16,7 @@ from .domain import (
     DatacenterState,
     Placement,
     PmSpec,
+    StructuralError,
     TransitionFlags,
     all_utilizations,
     derive_transition_flags,
@@ -92,6 +93,13 @@ class MigrationCostModel:
         racks_per_pod = math.ceil(dc.n_racks / n_pods)
         return cls(kappa=kappa, rack_of=tuple(dc.rack_of().tolist()),
                    pod_of_rack=tuple(r // racks_per_pod for r in range(dc.n_racks)))
+
+    def check_layout(self, dc: DatacenterState) -> None:
+        """Raise StructuralError unless this is the layout of `dc`'s PMs and racks."""
+        if self.rack_of != tuple(dc.rack_of().tolist()) or len(self.pod_of_rack) != dc.n_racks:
+            raise StructuralError(f"migration layout of {len(self.rack_of)} PMs in "
+                                  f"{len(self.pod_of_rack)} racks is not that of the fleet, "
+                                  f"{dc.n_pms} PMs in {dc.n_racks} racks")
 
     def hops(self, src, dst) -> np.ndarray:
         """Hops between PMs `src` and `dst`, elementwise with broadcasting."""
@@ -345,6 +353,7 @@ def objective(
     The independent reference: it derives the flags, shutdown hours and
     normalization bounds itself, from the formulas above, and prices them
     with `price_transition`."""
+    model.check_layout(dc)
     flags = derive_transition_flags(s_prev, s_next, dc)
     hours = shutdown_hours(dc, params)
     c_rel_ub, g_rel_ub = reliability_bounds(dc, weights, params, hours)
@@ -436,8 +445,7 @@ class CostTable:
     prev: np.ndarray       # [v] current host of VM v
     cpu: np.ndarray        # [v] CPU demand of VM v
     vm_order: list[int]    # VM ids in the fit order, which `value` sums in
-    rack_of: tuple[int, ...]   # [p] rack of PM p in the fleet, which R is indexed by
-    model: MigrationCostModel  # the layout the hops are counted on; its racks may differ
+    model: MigrationCostModel  # the fleet's layout: hops, and `rack_of`, which R is indexed by
 
     def move_wh(self, vms, pms) -> np.ndarray:
         """Energy of moving VMs `vms` from their current hosts to PMs `pms`,
@@ -482,7 +490,7 @@ class CostTable:
         a = (self.energy(np.arange(len(hosts)), hosts).tolist() if A is None
              else [A[v][p] for v, p in enumerate(hosts.tolist())])
         hosts = hosts.tolist()
-        B, R, rack_of = self.B, self.R, self.rack_of
+        B, R, rack_of = self.B, self.R, self.model.rack_of
         pm_open = [False] * len(B)
         rack_open = [False] * len(R)
         cost = self.K
@@ -513,7 +521,9 @@ def cost_table(
     params: ReliabilityParams,
     model: MigrationCostModel,
 ) -> CostTable:
-    """The coefficient table for deciding `dc`'s next-slot placement."""
+    """The coefficient table for deciding `dc`'s next-slot placement; `model`
+    must be `dc`'s layout (StructuralError)."""
+    model.check_layout(dc)
     tau = weights.tau
     hours = shutdown_hours(dc, params)
     c_ene_ub = energy_upper_bound(dc, weights, model)
@@ -537,7 +547,6 @@ def cost_table(
         prev=dc.current.hosts(),
         cpu=dc.demands("cpu"),
         vm_order=dc.fit_order(),
-        rack_of=tuple(dc.rack_of().tolist()),
         model=model,
     )
     # a non-finite entry would silently zero a term's scale or poison the objective;

@@ -12,10 +12,19 @@ from pathlib import Path
 from .costs import CostWeights
 from .sim import SlotReport
 
-REPORT_HEADER = (
-    "slot,seed,alpha,beta,gamma,active_racks,active_pms,migrations,"
-    "c_ene,c_rel,g_rel,objective,wall_time"
+# (CSV column, `SlotReport` field) after a row's slot, seed and weights;
+# a mean row averages these fields
+_COLUMNS = (
+    ("active_racks", "active_racks"),
+    ("active_pms", "active_pms"),
+    ("migrations", "n_migrations"),
+    ("c_ene", "c_ene"),
+    ("c_rel", "c_rel"),
+    ("g_rel", "g_rel"),
+    ("objective", "objective"),
+    ("wall_time", "wall_time"),
 )
+REPORT_HEADER = ",".join(("slot", "seed", "alpha", "beta", "gamma", *(c for c, _ in _COLUMNS)))
 
 
 class OutputError(RuntimeError):
@@ -40,32 +49,16 @@ def write_text(path: str | Path, text: str) -> None:
 
 
 def report_row(report: SlotReport, seed, weights: CostWeights) -> str:
-    fields = [
-        report.slot,
-        seed,
-        weights.alpha,
-        weights.beta,
-        weights.gamma,
-        report.active_racks,
-        report.active_pms,
-        report.n_migrations,
-        report.c_ene,
-        report.c_rel,
-        report.g_rel,
-        report.objective,
-        report.wall_time,
-    ]
+    fields = (report.slot, seed, weights.alpha, weights.beta, weights.gamma,
+              *(getattr(report, name) for _, name in _COLUMNS))
     return ",".join(_fmt(f) for f in fields)
 
 
-def mean_row(reports: list[SlotReport], weights: CostWeights) -> str:
-    """`report_row` of the first report, with "mean" as its seed and each
-    count and cost replaced by its mean over `reports`."""
+def mean_report(reports: list[SlotReport]) -> SlotReport:
+    """The first report with each column's field replaced by its mean over `reports`."""
     n = len(reports)
-    means = {name: sum(getattr(r, name) for r in reports) / n
-             for name in ("active_racks", "active_pms", "n_migrations", "c_ene", "c_rel",
-                          "g_rel", "objective", "wall_time")}
-    return report_row(replace(reports[0], **means), "mean", weights)
+    return replace(reports[0], **{name: sum(getattr(r, name) for r in reports) / n
+                                  for _, name in _COLUMNS})
 
 
 def write_report_csv(path: str | Path, rows: list[str]) -> None:

@@ -112,8 +112,8 @@ def load_scenario(path: str | Path) -> Scenario:
     import yaml
 
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     try:
         data = yaml.safe_load(text)

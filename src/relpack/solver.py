@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,9 +53,12 @@ class SolveResult:
     breakdown: C.CostBreakdown
     flags: TransitionFlags = field(compare=False)  # of the move from the current placement
     nodes_explored: int
-    wall_time: float  # deterministic work estimate: work units / NODES_PER_SECOND (1M per second)
-    proof: str        # "optimal" | "time-capped" | "heuristic"
-    clock_seconds: float = 0.0  # measured, informational only
+    proof: str  # "optimal" | "time-capped" | "heuristic"
+
+    @property
+    def wall_time(self) -> float:
+        """Deterministic work estimate: work units / NODES_PER_SECOND (1M per second)."""
+        return self.nodes_explored / NODES_PER_SECOND
 
 
 def _result(
@@ -66,7 +68,6 @@ def _result(
     table: C.CostTable,
     nodes: int,
     proof: str,
-    clock: float,
 ) -> SolveResult:
     """The placement `hosts`, priced by `costs.price_transition` as
     `costs.objective` prices it, from the same formulas and bit for bit,
@@ -83,9 +84,7 @@ def _result(
         breakdown=breakdown,
         flags=flags,
         nodes_explored=nodes,
-        wall_time=nodes / NODES_PER_SECOND,
         proof=proof,
-        clock_seconds=clock,
     )
 
 
@@ -147,7 +146,6 @@ def solve_bruteforce(
     best_hosts: np.ndarray | None = None
     best = float("inf")
     nodes = 0
-    t0 = time.perf_counter()
 
     def recurse(depth: int):
         nonlocal best, best_hosts, nodes
@@ -168,7 +166,7 @@ def solve_bruteforce(
                 cpu_load[p], ram_load[p] = c, r
 
     recurse(0)
-    return _result(best_hosts, dc, weights, table, nodes, "optimal", time.perf_counter() - t0)
+    return _result(best_hosts, dc, weights, table, nodes, "optimal")
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +219,7 @@ def greedy_incumbent(
     hosts = _first_fit_decreasing(dc, table)
     if hosts is None:
         hosts = dc.current.hosts()
-    return _result(hosts, dc, weights, table, 0, "heuristic", 0.0)
+    return _result(hosts, dc, weights, table, 0, "heuristic")
 
 
 def _seeds(dc: DatacenterState, table: C.CostTable) -> list[np.ndarray]:
@@ -240,16 +238,17 @@ def _seeds(dc: DatacenterState, table: C.CostTable) -> list[np.ndarray]:
 def _slots_per_pm(dc: DatacenterState, table: C.CostTable) -> int | None:
     """VM slots of every PM if `dc` is a fleet of one VM and one PM template, else None.
 
-    One template means equal VM demands and memory, equal PM capacities and
-    load slopes, and a migration layout on `dc`'s racks.  Slots are the fewer of
-    `fit_count`'s for CPU and RAM, so the current placement, which fits, fills no more.
+    One template means equal VM demands and memory, and equal PM capacities
+    and load slopes.  Slots are the fewer of `fit_count`'s for CPU and RAM,
+    so the current placement, which fits, fills no more.
     """
     if len({(v.cpu_demand, v.ram_demand, v.mem_gb) for v in dc.vms}) > 1:
         return None
     if len({(p.cpu_capacity, p.ram_capacity) for p in dc.pms}) > 1 or len(set(table.slope_wh.tolist())) > 1:
         return None
-    # PM ids run rack by rack, and the migration layout is that of the racks
-    if list(table.rack_of) != sorted(table.rack_of) or table.model.rack_of != table.rack_of:
+    # PM ids run rack by rack
+    rack_of = table.model.rack_of
+    if list(rack_of) != sorted(rack_of):
         return None
     if dc.n_vms == 0:
         return 0
@@ -417,16 +416,15 @@ class _TemplateDP:
                                      minlength=max(pod_of_rack, default=-1) + 1).tolist()
         # [p] the node ids of PM p's rack and pod: rack r is r, pod d is n_racks + d
         n_racks = len(self.rack_loads)
-        self.nodes = [(r, n_racks + pod_of_rack[r]) for r in table.rack_of]
+        self.nodes = [(r, n_racks + pod_of_rack[r]) for r in table.model.rack_of]
         self.best_hosts: list[int] | None = None
 
     def _tree(self, meter: _Meter) -> _Tree:
         m, k, size, t = self.m, self.k, self.n_vms + 1, self.table
-        B, rack_of = t.B, t.rack_of
+        B, rack_of = t.B, t.model.rack_of
         racks: dict[int, list[_Tree]] = {}
         for p, n in enumerate(self.loads):
-            leaf = _Tree([m * n, B[p]] if size > 1 else [m * n], pm=p)
-            racks.setdefault(rack_of[p], []).append(leaf)
+            racks.setdefault(rack_of[p], []).append(_Tree([m * n, B[p]], pm=p))
         # a node's term has an entry for each count j of its PMs kept on, cut at `size`
         counts = lambda n_pms: range(min(n_pms + 1, size))
         pods: dict[int, list[_Tree]] = {}
@@ -475,7 +473,7 @@ class _TemplateDP:
         placement; it is built PM by PM, each kept on if the cheapest
         completion still reaches z*.  Needs PM ids to run rack by rack.
         """
-        size, rack_of, B, R = self.n_vms + 1, self.table.rack_of, self.table.B, self.table.R
+        size, rack_of, B, R = self.n_vms + 1, self.table.model.rack_of, self.table.B, self.table.R
         racks = [list(g) for _, g in itertools.groupby(range(len(rack_of)), rack_of.__getitem__)]
         # suffix[i][j]: cheapest j PMs of racks[i:]
         suffix = [[0.0]]
@@ -504,15 +502,13 @@ class _TemplateDP:
                         cost = here
             if len(chosen) == j:  # short only if rounding hid the set
                 hosts = self._fill(chosen, meter)
-                if hosts is not None:
+                if self.best_hosts is None or hosts < self.best_hosts:
                     self.best_hosts = hosts
 
-    def _fill(self, opened: list[int], meter: _Meter) -> list[int] | None:
-        """Migration is free: fill the open PMs in id order, none left empty.
-        None unless lexicographically smaller than `best_hosts`."""
-        best, k, n_v = self.best_hosts, self.k, self.n_vms
+    def _fill(self, opened: list[int], meter: _Meter) -> list[int]:
+        """Migration is free: fill the open PMs in id order, none left empty."""
+        k, n_v = self.k, self.n_vms
         meter.spend(n_v)
-        tied = best is not None
         hosts, i, load, empty = [], 0, 0, len(opened)
         for v in range(n_v):
             if load == k or (load and empty >= n_v - v):
@@ -520,13 +516,8 @@ class _TemplateDP:
             if not load:
                 empty -= 1
             load += 1
-            host = opened[i]
-            if tied and host != best[v]:
-                if host > best[v]:
-                    return None
-                tied = False
-            hosts.append(host)
-        return None if tied else hosts
+            hosts.append(opened[i])
+        return hosts
 
     def _move(self, opened: list[int], meter: _Meter) -> list[int] | None:
         """VMs on open PMs stay; each other VM, in id order, takes the smallest
@@ -648,7 +639,7 @@ class _BranchAndBound:
         self.meter = meter
         for hosts in _seeds(dc, t):
             self.seed(hosts, t.value(hosts, A))
-        n_vms, vm_order, rack_of, B, R = dc.n_vms, t.vm_order, t.rack_of, t.B, t.R
+        n_vms, vm_order, rack_of, B, R = dc.n_vms, t.vm_order, t.model.rack_of, t.B, t.R
         stake_of, order = t.stake.tolist(), _pm_order(dc)
         cpu, ram = t.cpu.tolist(), dc.demands("ram").tolist()
         cpu_lim, ram_lim = _limits(dc)
@@ -731,7 +722,6 @@ def solve_exact(
     """
     if not 0 < time_cap < float("inf"):
         raise ValueError("time_cap must be positive and finite")
-    t0 = time.perf_counter()
     table = C.cost_table(dc, weights, params, mig_model)
     k = _slots_per_pm(dc, table)
     search = _BranchAndBound(dc, table) if k is None else _TemplateDP(dc, table, k)
@@ -745,5 +735,4 @@ def solve_exact(
     hosts = search.best_hosts
     if hosts is None:
         hosts = min(_seeds(dc, table), key=table.value)
-    return _result(np.asarray(hosts, dtype=int), dc, weights, table, meter.used, proof,
-                   time.perf_counter() - t0)
+    return _result(np.asarray(hosts, dtype=int), dc, weights, table, meter.used, proof)

@@ -1,4 +1,5 @@
 """Command-line interface tests: exit codes, artifacts, LP export."""
+import hashlib
 import math
 import tempfile
 from pathlib import Path
@@ -24,8 +25,10 @@ SMALL_YAML = (
 # a short cap, so that a case the checks miss still ends quickly
 _CAPPED = "solver: {time_cap: 0.05}\n"
 
-# scenario files that must exit 2, and the text their error line must contain
+# scenario files that must exit 2, and the text their error line must contain;
+# each is written as Latin-1, so a file's bytes need not be UTF-8
 _PARSE_ERRORS = [
+    ("\xff\xfe racks: {count: 2}", "cannot read scenario file"),
     ("racks: [oops\n", "invalid YAML"),
     ("pm: {cycle_count: -5}\n", "cycle_count"),
     ("pm: {cycle_count: -5, cycle_count_spread: 10}\n", "cycle_count"),
@@ -75,7 +78,7 @@ _PARSE_ERRORS = [
     ("vms: {count: 1000000000000}\n", "VM-to-PM cells"),
 ]
 _PARSE_ERROR_IDS = [
-    "bad-yaml", "negative-cycle-count", "negative-cycle-count-with-spread",
+    "not-utf8", "bad-yaml", "negative-cycle-count", "negative-cycle-count-with-spread",
     "cycle-count-past-curve", "cycle-count-past-curve-over-slots",
     "cycle-count-spread-past-curve", "k-idle-above-one", "t-idle-above-t-max",
     "negative-vm-cpu", "t-amb-at-t-idle", "zero-slots", "negative-ram-capacity",
@@ -139,7 +142,7 @@ class TestSolve:
     @pytest.mark.parametrize("text, named", _PARSE_ERRORS, ids=_PARSE_ERROR_IDS)
     def test_parse_error_exit_code(self, tmp_path, capsys, text, named):
         bad = tmp_path / "bad.yaml"
-        bad.write_text(text)
+        bad.write_text(text, encoding="latin-1")
         assert cli.main(["solve", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == cli.EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err.splitlines()[0]
@@ -147,7 +150,7 @@ class TestSolve:
     @pytest.mark.parametrize("text, named", _PARSE_ERRORS, ids=_PARSE_ERROR_IDS)
     def test_parse_error_exit_code_with_export(self, tmp_path, capsys, text, named):
         bad = tmp_path / "bad.yaml"
-        bad.write_text(text)
+        bad.write_text(text, encoding="latin-1")
         argv = ["solve", "--scenario", str(bad), "--out", str(tmp_path / "out"), "--export-lp"]
         assert cli.main(argv) == cli.EXIT_PARSE
         err = capsys.readouterr().err
@@ -230,6 +233,40 @@ class TestSolve:
         a = (out1 / "placement.csv").read_text()
         b = (out2 / "placement.csv").read_text()
         assert a != b
+
+
+_REPO = Path(__file__).resolve().parent.parent
+
+
+def _pinned(name: str) -> dict[str, dict[str, str]]:
+    """Output directory -> file -> sha256, from `tests/data/<name>`."""
+    pins: dict[str, dict[str, str]] = {}
+    for line in (_REPO / "tests" / "data" / name).read_text().splitlines():
+        digest, path = line.split()
+        directory, file = path.split("/")
+        pins.setdefault(directory, {})[file] = digest
+    return pins
+
+
+class TestGoldenPins:
+    """Every shipped scenario solved with --export-lp, and every preset at its
+    defaults, writes the bytes that the golden sha256 lists pin."""
+
+    @pytest.mark.parametrize("pins, names, argv", [
+        ("golden_scenarios.sha256", [f.stem for f in (_REPO / "scenarios").glob("*.yaml")],
+         lambda name: ["solve", "--scenario", str(_REPO / "scenarios" / f"{name}.yaml"), "--export-lp"]),
+        ("golden_presets.sha256", ["weights-table", "alpha-sweep", "scaling-curves"],
+         lambda name: ["experiment", "--preset", name]),
+    ], ids=["scenarios", "presets"])
+    def test_outputs_match_pins(self, tmp_path, pins, names, argv):
+        pinned = _pinned(pins)
+        assert sorted(pinned) == sorted(names)
+        got = {}
+        for name, files in pinned.items():
+            assert cli.main(argv(name) + ["--out", str(tmp_path / name)]) == cli.EXIT_OK
+            got[name] = {f: hashlib.sha256((tmp_path / name / f).read_bytes()).hexdigest()
+                         for f in files}
+        assert got == pinned
 
 
 class TestExperiment:

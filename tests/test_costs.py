@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from relpack import costs as C
 from relpack import milp, sim
 from relpack import solver as S
-from relpack.domain import Placement, all_utilizations, derive_transition_flags, validate_placement
+from relpack.domain import (Placement, StructuralError, all_utilizations, derive_transition_flags,
+                            validate_placement)
 
 from conftest import (FLEETS, build_state, random_template_instance, random_tiny_instance,
                       template_fleet_state)
@@ -270,6 +271,31 @@ class TestCostTable:
                 assert fast == pytest.approx(exact, rel=1e-9, abs=1e-12)
                 lin = milp.objective_value(model, milp.assignment_for_placement(model, state, placement))
                 assert fast == pytest.approx(lin, rel=0, abs=1e-9)
+
+
+def _fleet(n_racks: int, pms_per_rack: int, n_vms: int):
+    return sim.build_datacenter(sim.Scenario(n_racks=n_racks, pms_per_rack=pms_per_rack, n_vms=n_vms))
+
+
+# (fleet, fleet whose migration layout is given with it): larger, smaller,
+# and the same 16 PMs regrouped from racks of 4 into racks of 2
+_LAYOUT_MISMATCHES = [((4, 4, 25), (8, 4, 52)), ((8, 4, 52), (4, 4, 25)), ((4, 4, 25), (8, 2, 25))]
+
+
+class TestLayoutCheck:
+    @pytest.mark.parametrize("fleet, other", _LAYOUT_MISMATCHES, ids=["larger", "smaller", "regrouped"])
+    @pytest.mark.parametrize("entry", [
+        lambda dc, w, r, m: S.solve_exact(dc, w, r, m, time_cap=1.0),
+        S.greedy_incumbent,
+        milp.build_model,
+        lambda dc, w, r, m: C.objective(dc.current, dc.current, dc, w, r, m),
+    ], ids=["solve_exact", "greedy_incumbent", "build_model", "objective"])
+    def test_another_fleets_layout_raises(self, fleet, other, entry):
+        dc = _fleet(*fleet)
+        model = C.MigrationCostModel.from_layout(_fleet(*other))
+        with pytest.raises(StructuralError, match="is not that of the fleet"):
+            entry(dc, C.CostWeights(), C.ReliabilityParams(), model)
+        entry(dc, C.CostWeights(), C.ReliabilityParams(), C.MigrationCostModel.from_layout(dc))
 
 
 class TestShutdownExact:

@@ -26,7 +26,7 @@ class TestCsv:
 
     def test_mean_row(self):
         rows = [report(active_pms=4), report(active_pms=6)]
-        row = outputs.mean_row(rows, CostWeights())
+        row = outputs.report_row(outputs.mean_report(rows), "mean", CostWeights())
         fields = row.split(",")
         assert fields[1] == "mean"
         assert fields[6] == "5"
